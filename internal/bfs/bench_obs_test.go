@@ -71,7 +71,9 @@ func BenchmarkRunManyRecorderOverhead(b *testing.B) {
 
 // Per-kernel × per-scale MTEPS for the perf-regression trajectory:
 // the paper's Fig. 4 / Table IV claims rest on these kernels, so
-// BENCH_<n>.json tracks each one at two scales.
+// BENCH_<n>.json tracks each one at two scales. hybrid-w2 pins two
+// workers, so the parallelGrains fan-out runs even at GOMAXPROCS=1;
+// there it records fan-out cost and allocations, not speed-up.
 func BenchmarkKernelScales(b *testing.B) {
 	kernels := []struct {
 		name string
@@ -80,6 +82,7 @@ func BenchmarkKernelScales(b *testing.B) {
 		{"topdown", TopDownEngine(0)},
 		{"bottomup", BottomUpEngine(0)},
 		{"hybrid", HybridEngine(DefaultM, DefaultN, 0)},
+		{"hybrid-w2", HybridEngine(DefaultM, DefaultN, 2)},
 	}
 	for _, scale := range []int{12, 14} {
 		g := benchRMAT(b, scale, 16, 7)

@@ -119,19 +119,6 @@ func (r *Result) Depth() int32 {
 	return d
 }
 
-// finish computes the visited/traversed counters from the level map.
-func (r *Result) finish(g *graph.CSR) {
-	var visited, traversed int64
-	for v, l := range r.Level {
-		if l != NotVisited {
-			visited++
-			traversed += g.Degree(int32(v))
-		}
-	}
-	r.VisitedCount = visited
-	r.TraversedEdges = traversed
-}
-
 // checkSource validates a source vertex against the graph.
 func checkSource(g *graph.CSR, source int32) error {
 	if source < 0 || int(source) >= g.NumVertices() {

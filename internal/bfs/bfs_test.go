@@ -1,11 +1,13 @@
 package bfs
 
 import (
+	"fmt"
 	"testing"
 
 	"crossbfs/internal/graph"
 	"crossbfs/internal/invariant"
 	"crossbfs/internal/rmat"
+	"crossbfs/internal/xrand"
 )
 
 // mustInvariants runs the runtime verification layer over a completed
@@ -45,6 +47,35 @@ func mustBuild(t *testing.T, n int, edges []graph.Edge) *graph.CSR {
 		t.Fatalf("Build: %v", err)
 	}
 	return g
+}
+
+// partialGrainGraph returns a random graph on 2*buGrain+37 vertices, so
+// a parallel bottom-up level runs two full grains and a partial last
+// grain whose last bitmap word is partial too. Edges join only the
+// first n-5 vertices: the tail word also holds isolated vertices that
+// stay unvisited.
+func partialGrainGraph(t *testing.T) *graph.CSR {
+	t.Helper()
+	const n = 2*buGrain + 37
+	rng := xrand.New(13)
+	edges := make([]graph.Edge, 4*n)
+	for i := range edges {
+		edges[i] = graph.Edge{From: int32(rng.Intn(n - 5)), To: int32(rng.Intn(n - 5))}
+	}
+	return mustBuild(t, n, edges)
+}
+
+// countFromLevels recounts a traversal's VisitedCount and
+// TraversedEdges from its level map: the independent check on the
+// counters the kernels accumulate as they discover vertices.
+func countFromLevels(g *graph.CSR, r *Result) (visited, traversed int64) {
+	for v, l := range r.Level {
+		if l != NotVisited {
+			visited++
+			traversed += g.Degree(int32(v))
+		}
+	}
+	return visited, traversed
 }
 
 func testRMAT(t *testing.T, scale, ef int, seed uint64) *graph.CSR {
@@ -175,12 +206,19 @@ func sameTraversal(t *testing.T, name string, want, got *Result) {
 	}
 }
 
+// TestKernelsAgreeWithSerial checks every kernel against the serial
+// level map. rmat13 and grains have more than buGrain vertices, so at
+// 2 and 4 workers the bottom-up level fans out over several grains;
+// grains also ends in a partial grain and a partial word. The bottom-up
+// scan counts must match ComputeTrace's at every worker count.
 func TestKernelsAgreeWithSerial(t *testing.T) {
 	graphs := map[string]*graph.CSR{
-		"path":  pathGraph(t, 17),
-		"star":  starGraph(t, 33),
-		"rmat9": testRMAT(t, 9, 8, 1),
-		"rmat8": testRMAT(t, 8, 16, 7),
+		"path":   pathGraph(t, 17),
+		"star":   starGraph(t, 33),
+		"rmat9":  testRMAT(t, 9, 8, 1),
+		"rmat8":  testRMAT(t, 8, 16, 7),
+		"rmat13": testRMAT(t, 13, 8, 3),
+		"grains": partialGrainGraph(t),
 	}
 	for name, g := range graphs {
 		src := int32(0)
@@ -194,7 +232,11 @@ func TestKernelsAgreeWithSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Serial: %v", name, err)
 		}
-		for _, workers := range []int{1, 4} {
+		tr, err := ComputeTrace(g, want)
+		if err != nil {
+			t.Fatalf("%s: ComputeTrace: %v", name, err)
+		}
+		for _, workers := range []int{1, 2, 4} {
 			td, err := RunTopDown(g, src, workers)
 			if err != nil {
 				t.Fatalf("%s: top-down: %v", name, err)
@@ -214,6 +256,12 @@ func TestKernelsAgreeWithSerial(t *testing.T) {
 				t.Errorf("%s: bottom-up invalid: %v", name, err)
 			}
 			mustInvariants(t, name+"/bottomup", g, bu)
+			for i, s := range tr.Steps {
+				if bu.StepScans[i] != s.BottomUpScans {
+					t.Errorf("%s/%d workers: step %d bottom-up scanned %d, trace says %d",
+						name, workers, i+1, bu.StepScans[i], s.BottomUpScans)
+				}
+			}
 
 			for _, mn := range [][2]float64{{1, 1}, {10, 10}, {64, 64}, {300, 300}, {2, 500}} {
 				hy, err := Hybrid(g, src, mn[0], mn[1], workers)
@@ -380,22 +428,128 @@ func TestValidateCatchesNonTreeEdgeParent(t *testing.T) {
 	}
 }
 
-func TestResultCounters(t *testing.T) {
-	g := testRMAT(t, 9, 8, 5)
-	r, err := Serial(g, 3)
-	if err != nil {
-		t.Fatal(err)
+// counterGraph is one input of the counter tests.
+type counterGraph struct {
+	name string
+	g    *graph.CSR
+	src  int32
+}
+
+// counterGraphs are the shapes the counter tests run on: long levels,
+// one hub level, a second component the counters must leave out, an
+// isolated root, R-MAT skew, and a bottom-up level over several grains.
+func counterGraphs(t *testing.T) []counterGraph {
+	t.Helper()
+	twoComponents := mustBuild(t, 40, []graph.Edge{
+		{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 0}, {From: 2, To: 3},
+		{From: 10, To: 11}, {From: 11, To: 12}, {From: 12, To: 13}, {From: 13, To: 10},
+	})
+	return []counterGraph{
+		{"path", pathGraph(t, 17), 0},
+		{"star", starGraph(t, 33), 5},
+		{"two-components", twoComponents, 1},
+		{"isolated-root", twoComponents, 30},
+		{"rmat", testRMAT(t, 10, 8, 5), 3},
+		{"grains", partialGrainGraph(t), 0},
 	}
-	var visited, traversed int64
-	for v, l := range r.Level {
-		if l != NotVisited {
-			visited++
-			traversed += g.Degree(int32(v))
+}
+
+// TestResultCounters checks VisitedCount and TraversedEdges of every
+// engine against a recount from the level map. One workspace serves
+// every run on a graph, so a counter that survives into the next
+// traversal shows too.
+func TestResultCounters(t *testing.T) {
+	engines := []Engine{SerialEngine()}
+	for _, w := range []int{1, 4} {
+		engines = append(engines,
+			TopDownEngine(w), BottomUpEngine(w), EdgeParallelEngine(w),
+			HybridEngine(1, 1, w), HybridEngine(DefaultM, DefaultN, w), HybridEngine(300, 300, w),
+			BeamerEngine(0, 0, w), HongEngine(w))
+	}
+	for _, ranks := range []int{1, 2, 4} {
+		engines = append(engines, NewShardedEngine(ranks, DefaultM, DefaultN))
+	}
+	for _, tc := range counterGraphs(t) {
+		ws := NewWorkspace(tc.g.NumVertices())
+		for i, e := range engines {
+			label := fmt.Sprintf("%s/%d:%s", tc.name, i, e.Name())
+			r, err := e.Run(tc.g, tc.src, ws)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			visited, traversed := countFromLevels(tc.g, r)
+			if r.VisitedCount != visited || r.TraversedEdges != traversed {
+				t.Errorf("%s: VisitedCount %d, recount %d; TraversedEdges %d, recount %d",
+					label, r.VisitedCount, visited, r.TraversedEdges, traversed)
+			}
 		}
 	}
-	if r.VisitedCount != visited || r.TraversedEdges != traversed {
-		t.Errorf("counters: visited %d/%d traversed %d/%d",
-			r.VisitedCount, visited, r.TraversedEdges, traversed)
+}
+
+// stepRecorder wraps a Policy and keeps every StepInfo it is shown.
+type stepRecorder struct {
+	inner Policy
+	steps []StepInfo
+}
+
+func (p *stepRecorder) Choose(s StepInfo) Direction {
+	p.steps = append(p.steps, s)
+	return p.inner.Choose(s)
+}
+
+// TestStepInfoFrontierEdges checks that every policy, the fixed ones
+// included, sees the exact |V|cq and |E|cq before every step: the size
+// and degree sum of the level map's step-1 level set.
+func TestStepInfoFrontierEdges(t *testing.T) {
+	policies := []struct {
+		name string
+		new  func() Policy
+	}{
+		{"topdown", func() Policy { return AlwaysTopDown }},
+		{"bottomup", func() Policy { return AlwaysBottomUp }},
+		{"mn(1,1)", func() Policy { return MN{M: 1, N: 1} }},
+		{"mn(64,64)", func() Policy { return MN{M: DefaultM, N: DefaultN} }},
+		{"mn(300,300)", func() Policy { return MN{M: 300, N: 300} }},
+		{"beamer", func() Policy { return NewAlphaBeta(0, 0) }},
+		{"hong", func() Policy { return NewHongHybrid() }},
+	}
+	engines := []struct {
+		name string
+		make func(Policy) Engine
+	}{
+		{"workers1", func(p Policy) Engine { return AdaptiveEngine("rec", func() Policy { return p }, 1) }},
+		{"workers4", func(p Policy) Engine { return AdaptiveEngine("rec", func() Policy { return p }, 4) }},
+		{"ranks1", func(p Policy) Engine { return NewShardedAdaptive(1, "rec", func() Policy { return p }) }},
+		{"ranks2", func(p Policy) Engine { return NewShardedAdaptive(2, "rec", func() Policy { return p }) }},
+		{"ranks4", func(p Policy) Engine { return NewShardedAdaptive(4, "rec", func() Policy { return p }) }},
+	}
+	for _, tc := range counterGraphs(t) {
+		for _, p := range policies {
+			for _, e := range engines {
+				label := fmt.Sprintf("%s/%s/%s", tc.name, p.name, e.name)
+				rec := &stepRecorder{inner: p.new()}
+				r, err := e.make(rec).Run(tc.g, tc.src, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if len(rec.steps) != r.NumLevels() {
+					t.Fatalf("%s: policy saw %d steps, run took %d", label, len(rec.steps), r.NumLevels())
+				}
+				for i, s := range rec.steps {
+					var vcq, ecq int64
+					for v, l := range r.Level {
+						if l == int32(i) {
+							vcq++
+							ecq += tc.g.Degree(int32(v))
+						}
+					}
+					if s.Step != i+1 || s.FrontierVertices != vcq || s.FrontierEdges != ecq {
+						t.Errorf("%s: step %d saw (step %d, |V|cq %d, |E|cq %d), level map says (%d, %d)",
+							label, i+1, s.Step, s.FrontierVertices, s.FrontierEdges, vcq, ecq)
+					}
+				}
+			}
+		}
 	}
 }
 

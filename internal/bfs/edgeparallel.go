@@ -23,11 +23,13 @@ import (
 const epGrain = 2048
 
 // topDownLevelEdgeParallel expands one level top-down with
-// edge-parallel work division. Semantics match topDownLevel; the
-// prefix-sum and shard buffers come from ws so the level loop stops
-// allocating once the traversal warms up. Cancellation is observed at
-// grain boundaries; on error the traversal must be abandoned.
-func topDownLevelEdgeParallel(ctx context.Context, g *graph.CSR, r *Result, visited *bitmap.Bitmap, queue, out []int32, level int32, workers int, ws *Workspace) ([]int32, error) {
+// edge-parallel work division. Semantics match topDownLevel, except
+// that the second result is the frontier's own |E|cq: the last entry of
+// the degree prefix sum the kernel builds anyway. The prefix-sum and
+// shard buffers come from ws so the level loop stops allocating once
+// the traversal warms up. Cancellation is observed at grain boundaries;
+// on error the traversal must be abandoned.
+func topDownLevelEdgeParallel(ctx context.Context, g *graph.CSR, r *Result, visited *bitmap.Bitmap, queue, out []int32, level int32, workers int, ws *Workspace) ([]int32, int64, error) {
 	// Degree prefix sum over the frontier.
 	prefix := ws.prefixBuf(len(queue) + 1)
 	prefix[0] = 0
@@ -36,11 +38,12 @@ func topDownLevelEdgeParallel(ctx context.Context, g *graph.CSR, r *Result, visi
 	}
 	totalEdges := prefix[len(queue)]
 	if totalEdges == 0 {
-		return out, nil
+		return out, 0, nil
 	}
 	nworkers := resolveWorkers(workers, int(totalEdges/epGrain)+1)
 	if nworkers == 1 {
-		return topDownLevelSerial(g, r, visited, queue, out, level), nil
+		next, _ := topDownLevelSerial(g, r, visited, queue, out, level)
+		return next, totalEdges, nil
 	}
 
 	locals := ws.workerShards(nworkers)
@@ -69,13 +72,13 @@ func topDownLevelEdgeParallel(ctx context.Context, g *graph.CSR, r *Result, visi
 		locals[worker] = local
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
 	for _, l := range locals {
 		out = append(out, l...)
 	}
-	return out, nil
+	return out, totalEdges, nil
 }
 
 func min64(a, b int64) int64 {
@@ -136,18 +139,15 @@ func (e edgeParallelEngine) RunObserved(ctx context.Context, g *graph.CSR, sourc
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var (
-			stepStart time.Time
-			fe        int64
-		)
+		var stepStart time.Time
 		if o.live {
 			stepStart = time.Now()
-			fe = frontierEdges(g, queue, nil, true)
 		}
-		out, err := topDownLevelEdgeParallel(ctx, g, r, visited, queue, spare[:0], level, e.workers, ws)
+		out, fe, err := topDownLevelEdgeParallel(ctx, g, r, visited, queue, spare[:0], level, e.workers, ws)
 		if err != nil {
 			return nil, err
 		}
+		r.TraversedEdges += fe
 		if o.live {
 			grains := fe/epGrain + 1
 			nworkers := resolveWorkers(e.workers, int(grains))
@@ -170,7 +170,7 @@ func (e edgeParallelEngine) RunObserved(ctx context.Context, g *graph.CSR, sourc
 		level++
 	}
 	ws.retain(r, queue, spare)
-	r.finish(g)
+	r.VisitedCount = int64(g.NumVertices()) - unvisited
 	done = r
 	return r, nil
 }

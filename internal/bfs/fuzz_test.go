@@ -118,6 +118,10 @@ func FuzzHeuristicSwitch(f *testing.F) {
 		if err := invariant.Check(g, src, r.Parent, r.Level); err != nil {
 			t.Fatalf("invariants after hybrid run: %v", err)
 		}
+		if visited, traversed := countFromLevels(g, r); r.VisitedCount != visited || r.TraversedEdges != traversed {
+			t.Fatalf("counters: VisitedCount %d, recount %d; TraversedEdges %d, recount %d",
+				r.VisitedCount, visited, r.TraversedEdges, traversed)
+		}
 		// Replay the trace: every recorded direction must match what a
 		// fresh policy would choose for that step's frontier, and step 1
 		// (frontier = {source}) must follow the rule exactly — bottom-up

@@ -69,7 +69,7 @@ func (c *countRecorder) Event(obs.Event) { c.n++ }
 // cost of the telemetry seam on a pooled hybrid traversal: the Nop
 // variant must report 0 allocs/op, and the live variant shows what a
 // minimal recorder costs (event construction + interface call per
-// level, plus the re-enabled |E|cq pass).
+// level).
 func BenchmarkRunNopRecorder(b *testing.B)  { benchRecorder(b, obs.Nop) }
 func BenchmarkRunLiveRecorder(b *testing.B) { benchRecorder(b, &countRecorder{}) }
 

@@ -75,11 +75,11 @@ func parallelGrains(ctx context.Context, n, grain, workers int, fn func(worker, 
 		grain = 1
 	}
 	workers = resolveWorkers(workers, (n+grain-1)/grain)
-	done := ctx.Done()
 	if workers == 1 {
 		// Inline fast path: no goroutines, but the same per-grain
 		// cancellation points and panic containment as the fan-out path.
 		defer func() { recoverToError(recover(), &err) }()
+		done := ctx.Done()
 		for start := 0; start < n; start += grain {
 			select {
 			case <-done:
@@ -95,53 +95,62 @@ func parallelGrains(ctx context.Context, n, grain, workers int, fn func(worker, 
 		return nil
 	}
 
-	var (
-		cursor   atomic.Int64
-		stop     atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(e error) {
-		errOnce.Do(func() { firstErr = e })
-		stop.Store(true)
-	}
+	s := &grainSched{ctx: ctx, fn: fn, n: n, grain: grain}
+	//lint:ctx-ok every worker checks ctx before each grain claim; the spawn loop itself is O(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			// A panic in fn must not escape the goroutine (it would
-			// kill the process); convert it to the traversal's error
-			// and stop the other workers at their next grain claim.
-			defer func() {
-				if v := recover(); v != nil {
-					var perr error
-					recoverToError(v, &perr)
-					fail(perr)
-				}
-			}()
-			for {
-				if stop.Load() {
-					return
-				}
-				select {
-				case <-done:
-					fail(ctx.Err())
-					return
-				default:
-				}
-				start := int(cursor.Add(int64(grain))) - grain
-				if start >= n {
-					return
-				}
-				end := start + grain
-				if end > n {
-					end = n
-				}
-				fn(worker, start, end)
-			}
-		}(w)
+		s.wg.Add(1)
+		go s.work(w)
 	}
-	wg.Wait()
-	return firstErr
+	s.wg.Wait()
+	return s.err
+}
+
+// grainSched is one fan-out's scheduler state. It lives in a single
+// object so a fan-out allocates it once, not field by field.
+type grainSched struct {
+	ctx      context.Context
+	fn       func(worker, start, end int)
+	n, grain int
+
+	cursor  atomic.Int64
+	stop    atomic.Bool
+	errOnce sync.Once
+	err     error // first stop cause; read only after wg.Wait
+	wg      sync.WaitGroup
+}
+
+// fail records the first stop cause and stops the other workers at
+// their next grain claim.
+func (s *grainSched) fail(e error) {
+	s.errOnce.Do(func() { s.err = e })
+	s.stop.Store(true)
+}
+
+// work is one worker's claim loop.
+func (s *grainSched) work(worker int) {
+	defer s.wg.Done()
+	// A panic in fn must not escape the goroutine (it would kill the
+	// process); convert it to the traversal's error and stop the other
+	// workers at their next grain claim.
+	defer func() {
+		if v := recover(); v != nil {
+			var perr error
+			recoverToError(v, &perr)
+			s.fail(perr)
+		}
+	}()
+	done := s.ctx.Done()
+	for !s.stop.Load() {
+		select {
+		case <-done:
+			s.fail(s.ctx.Err())
+			return
+		default:
+		}
+		start := int(s.cursor.Add(int64(s.grain))) - s.grain
+		if start >= s.n {
+			return
+		}
+		s.fn(worker, start, min(start+s.grain, s.n))
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"crossbfs/internal/bitmap"
 	"crossbfs/internal/graph"
 	"crossbfs/internal/invariant"
 	"crossbfs/internal/obs"
@@ -21,9 +20,10 @@ type StepInfo struct {
 	Step int
 	// FrontierVertices is |V|cq, the current-queue vertex count.
 	FrontierVertices int64
-	// FrontierEdges is |E|cq, the sum of frontier vertex degrees.
-	// It is -1 when collection was skipped: the policy opted out via
-	// EdgeCountOptOut and no live recorder asked for it either.
+	// FrontierEdges is |E|cq, the sum of frontier vertex degrees. The
+	// kernels sum the degrees of the vertices they discover, and those
+	// vertices are exactly the next frontier, so it costs no pass of
+	// its own.
 	FrontierEdges int64
 	// UnvisitedVertices counts vertices without a level yet.
 	UnvisitedVertices int64
@@ -43,27 +43,11 @@ type PolicyFunc func(StepInfo) Direction
 // Choose implements Policy.
 func (f PolicyFunc) Choose(s StepInfo) Direction { return f(s) }
 
-// EdgeCountOptOut is the optional interface a Policy implements to
-// decline the per-step |E|cq sum. Computing StepInfo.FrontierEdges
-// costs an O(|V|cq) degree pass per level; policies that never read it
-// (the fixed-direction baselines, Hong's vertex-count rule) return
-// false here and the runner skips the pass, leaving FrontierEdges at
-// -1 — unless a live telemetry recorder is attached, in which case the
-// sum is collected anyway because the per-level events carry it.
-// Policies without the method are assumed to need edges.
-type EdgeCountOptOut interface {
-	NeedsFrontierEdges() bool
-}
-
-// fixedPolicy always chooses one direction; it opts out of the |E|cq
-// computation it would never read.
+// fixedPolicy always chooses one direction.
 type fixedPolicy Direction
 
 // Choose implements Policy.
 func (p fixedPolicy) Choose(StepInfo) Direction { return Direction(p) }
-
-// NeedsFrontierEdges implements EdgeCountOptOut.
-func (p fixedPolicy) NeedsFrontierEdges() bool { return false }
 
 // AlwaysTopDown and AlwaysBottomUp are the single-direction baselines
 // (the paper's *TD and *BU columns).
@@ -218,18 +202,11 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 			return nil, err
 		}
 	}
-	// The |E|cq degree pass is opt-out (EdgeCountOptOut) but a live
-	// recorder re-enables it: the per-level events carry the count.
-	needEdges := true
-	if oo, ok := policy.(EdgeCountOptOut); ok {
-		needEdges = oo.NeedsFrontierEdges()
-	}
 	reusedWS := ws != nil
 	if ws == nil {
 		ws = NewWorkspace(g.NumVertices())
 	}
 	o = observeStart(opts.Recorder, g, source, opts.label(), reusedWS)
-	needEdges = needEdges || o.live
 
 	n := g.NumVertices()
 	r := ws.begin(g, source)
@@ -242,6 +219,7 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 	next := ws.next                       // bottom-up scratch
 	queueValid := true
 	frontierVertices := int64(1)
+	frontierEdges := g.Degree(source)
 	unvisited := int64(n) - 1
 	level := int32(1) // distance assigned by the upcoming step
 	totalEdges := g.NumEdges()
@@ -257,13 +235,10 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 		info := StepInfo{
 			Step:              int(level),
 			FrontierVertices:  frontierVertices,
-			FrontierEdges:     -1,
+			FrontierEdges:     frontierEdges,
 			UnvisitedVertices: unvisited,
 			TotalVertices:     int64(n),
 			TotalEdges:        totalEdges,
-		}
-		if needEdges {
-			info.FrontierEdges = frontierEdges(g, queue, front, queueValid)
 		}
 		dir := policy.Choose(info)
 
@@ -279,19 +254,21 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 		}
 		prevDir = dir
 
-		var foundCount, scanCount int64
+		// nextEdges is the degree sum of the vertices this step
+		// discovers: the next step's |E|cq.
+		var foundCount, scanCount, nextEdges int64
 		switch dir {
 		case TopDown:
 			if !queueValid {
 				queue = front.AppendSet(queue[:0])
 				queueValid = true
 			}
-			out, err := topDownLevel(ctx, g, r, visited, queue, spare[:0], level, opts.Workers, ws)
+			out, degrees, err := topDownLevel(ctx, g, r, visited, queue, spare[:0], level, opts.Workers, ws)
 			if err != nil {
 				return nil, err
 			}
 			queue, spare = out, queue
-			foundCount = int64(len(queue))
+			foundCount, nextEdges = int64(len(queue)), degrees
 		case BottomUp:
 			if queueValid {
 				front.Reset()
@@ -305,9 +282,8 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 					return nil, fmt.Errorf("bfs: step %d: %w", level, err)
 				}
 			}
-			next.Reset()
 			var err error
-			foundCount, scanCount, err = bottomUpLevel(ctx, g, r, visited, front, next, level, opts.Workers)
+			foundCount, scanCount, nextEdges, err = bottomUpLevel(ctx, g, r, visited, front, next, level, opts.Workers)
 			if err != nil {
 				return nil, err
 			}
@@ -341,7 +317,8 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 				WallDur:          time.Since(stepStart),
 			})
 		}
-		frontierVertices = foundCount
+		r.TraversedEdges += frontierEdges
+		frontierVertices, frontierEdges = foundCount, nextEdges
 		unvisited -= foundCount
 		level++
 	}
@@ -352,7 +329,7 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 		}
 	}
 	ws.retain(r, queue, spare)
-	r.finish(g)
+	r.VisitedCount = int64(n) - unvisited
 	done = r
 	return r, nil
 }
@@ -363,19 +340,6 @@ func (o Options) label() string {
 		return o.Label
 	}
 	return "policy"
-}
-
-// frontierEdges computes |E|cq for the active representation.
-func frontierEdges(g *graph.CSR, queue []int32, front *bitmap.Bitmap, queueValid bool) int64 {
-	var sum int64
-	if queueValid {
-		for _, v := range queue {
-			sum += g.Degree(v)
-		}
-		return sum
-	}
-	front.Range(func(v int) { sum += g.Degree(int32(v)) })
-	return sum
 }
 
 // Hybrid runs the direction-optimizing combination with the paper's

@@ -53,6 +53,7 @@ func (e serialEngine) RunObserved(ctx context.Context, g *graph.CSR, source int3
 	step := int32(1)
 	cq := append(ws.queue[:0], source)
 	nq := ws.spare[:0]
+	cqEdges := g.Degree(source) // |E|cq of cq
 	for len(cq) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -62,12 +63,14 @@ func (e serialEngine) RunObserved(ctx context.Context, g *graph.CSR, source int3
 			stepStart = time.Now()
 		}
 		nq = nq[:0]
+		var nqEdges int64
 		for _, u := range cq {
 			for _, v := range g.Neighbors(u) {
 				if r.Parent[v] == NotVisited {
 					r.Parent[v] = u
 					r.Level[v] = r.Level[u] + 1
 					nq = append(nq, v)
+					nqEdges += g.Degree(v)
 				}
 			}
 		}
@@ -77,7 +80,7 @@ func (e serialEngine) RunObserved(ctx context.Context, g *graph.CSR, source int3
 			o.event(obs.Event{
 				Kind: obs.KindLevel, Step: step, Dir: obs.TopDown,
 				FrontierVertices: int64(len(cq)),
-				FrontierEdges:    frontierEdges(g, cq, nil, true),
+				FrontierEdges:    cqEdges,
 				Discovered:       int64(len(nq)),
 				Unvisited:        unvisited,
 				Grains:           1,
@@ -86,12 +89,14 @@ func (e serialEngine) RunObserved(ctx context.Context, g *graph.CSR, source int3
 				WallDur:          time.Since(stepStart),
 			})
 		}
+		r.TraversedEdges += cqEdges
 		unvisited -= int64(len(nq))
 		step++
 		cq, nq = nq, cq
+		cqEdges = nqEdges
 	}
 	ws.retain(r, cq, nq)
-	r.finish(g)
+	r.VisitedCount = int64(g.NumVertices()) - unvisited
 	done = r
 	return r, nil
 }

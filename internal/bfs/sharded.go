@@ -183,18 +183,11 @@ func (e *Sharded) RunObserved(ctx context.Context, g *graph.CSR, source int32, w
 	}
 	o = observeStart(rec, g, source, e.name, reusedWS)
 
-	needEdges := true
-	if oo, ok := pol.(EdgeCountOptOut); ok {
-		needEdges = oo.NeedsFrontierEdges()
-	}
-	needEdges = needEdges || o.live
-
 	r := ws.begin(g, source)
 	ws.visited.Set(int(source))
 
 	c := &shardedRun{
-		g: g, p: p, res: r, visited: ws.visited,
-		policy: pol, needEdges: needEdges,
+		g: g, p: p, res: r, visited: ws.visited, policy: pol,
 		ctx: ctx, o: &o, ranks: e.ranks, source: source,
 		outboxes: make([][][]int32, e.ranks),
 		deltas:   make([][]byte, e.ranks),
@@ -255,7 +248,6 @@ func (e *Sharded) RunObserved(ctx context.Context, g *graph.CSR, source int32, w
 		}
 	}
 	ws.retain(r, ws.queue, ws.spare)
-	r.finish(g)
 	done = r
 	return r, nil
 }
@@ -300,16 +292,15 @@ func putRankState(rs *rankState) { rankStatePool.Put(rs) }
 // shardedRun is the shared state of one sharded traversal: the global
 // result arrays, the cross-rank exchange slots, and the collective.
 type shardedRun struct {
-	g         *graph.CSR
-	p         *part.Partitioned
-	res       *Result
-	visited   *bitmap.Bitmap
-	policy    Policy
-	needEdges bool
-	ctx       context.Context
-	o         *tobs
-	ranks     int
-	source    int32
+	g       *graph.CSR
+	p       *part.Partitioned
+	res     *Result
+	visited *bitmap.Bitmap
+	policy  Policy
+	ctx     context.Context
+	o       *tobs
+	ranks   int
+	source  int32
 
 	// Exchange slots, indexed by source rank. A rank writes only its
 	// own slot before the exchange barrier and reads the others only
@@ -464,10 +455,8 @@ func (c *shardedRun) rankLoop(rank int, rs *rankState) {
 			return
 		}
 		var ecq int64
-		if c.needEdges {
-			for _, v := range queue {
-				ecq += sub.Degree(v - int32(lo))
-			}
+		for _, v := range queue {
+			ecq += sub.Degree(v - int32(lo))
 		}
 		dir, runDone, err := c.chooseRound(rank, 0, int64(len(queue)), ecq, unvisitedLocal, step)
 		if err != nil || runDone {
@@ -639,13 +628,10 @@ func (c *shardedRun) chooseRound(rank int, epoch uint64, vcq, ecq, unvisitedLoca
 		info := StepInfo{
 			Step:              int(step),
 			FrontierVertices:  c.vcq,
-			FrontierEdges:     -1,
+			FrontierEdges:     c.ecq,
 			UnvisitedVertices: c.unvisited,
 			TotalVertices:     int64(c.g.NumVertices()),
 			TotalEdges:        c.g.NumEdges(),
-		}
-		if c.needEdges {
-			info.FrontierEdges = c.ecq
 		}
 		c.dir = c.policy.Choose(info)
 		if c.o.live {
@@ -683,8 +669,11 @@ func (c *shardedRun) chooseRound(rank int, epoch uint64, vcq, ecq, unvisitedLoca
 }
 
 // endRound all-reduces the level outcome; the leader appends the
-// per-step direction/scan/exchange logs to the shared result and emits
-// the level event, then clears the accumulators for the next level.
+// per-step direction/scan/exchange logs to the shared result, adds the
+// level's frontier to the visited and traversed-edge totals, and emits
+// the level event, then clears the accumulators for the next level. A
+// round aborted by a membership change never reaches the leader, so a
+// replayed level is counted once.
 func (c *shardedRun) endRound(rank int, epoch uint64, step int32, dir Direction, found, scans, frontierBytes, ghostSentBytes, ghostRecv, ghostApplied int64) error {
 	return c.round(rank, epoch, func() {
 		c.found += found
@@ -701,6 +690,8 @@ func (c *shardedRun) endRound(rank int, epoch uint64, step int32, dir Direction,
 			FrontierBytes: c.frontierBytes, GhostBytes: c.ghostBytes,
 			GhostSent: c.ghostSent, GhostApplied: c.ghostApplied,
 		})
+		c.res.VisitedCount += c.vcq
+		c.res.TraversedEdges += c.ecq
 		if c.o.live {
 			c.o.event(obs.Event{
 				Kind: obs.KindLevel, Step: step, Dir: obs.Direction(dir),

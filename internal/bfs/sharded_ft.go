@@ -572,11 +572,9 @@ func (c *shardedRun) rankLoopFT(rank int, rs *rankState) {
 			return
 		}
 		var ecq int64
-		if c.needEdges {
-			for _, u := range queue {
-				sh := c.p.Shards[layout.Owner(u)]
-				ecq += sh.Sub.Degree(u - sh.Lo)
-			}
+		for _, u := range queue {
+			sh := c.p.Shards[layout.Owner(u)]
+			ecq += sh.Sub.Degree(u - sh.Lo)
 		}
 		dir, runDone, err := c.chooseRound(rank, view.epoch, int64(len(queue)), ecq, unvisitedLocal, step)
 		if err != nil {

@@ -208,10 +208,7 @@ func TraceFromContext(ctx context.Context, g *graph.CSR, source int32, ws *Works
 // Note the division of labour: live per-level telemetry flows through
 // the Recorder as the traversal runs, while the Trace's exhaustive
 // work profile (|E|un, bottom-up scan counts for directions that did
-// not execute) is derived afterwards by ComputeTrace. The runner
-// collects nothing for either unless asked — policies that opt out of
-// |E|cq via EdgeCountOptOut skip the per-level degree pass whenever no
-// live recorder is attached.
+// not execute) is derived afterwards by ComputeTrace.
 func TraceFromObserved(ctx context.Context, g *graph.CSR, source int32, ws *Workspace, rec obs.Recorder) (*Trace, error) {
 	r, err := SerialEngine().RunObserved(ctx, g, source, ws, rec)
 	if err != nil {

@@ -100,10 +100,8 @@ func (w *Workspace) ensure(n int) {
 // and queues are truncated, so no prior traversal state survives.
 func (w *Workspace) begin(g *graph.CSR, source int32) *Result {
 	w.ensure(g.NumVertices())
-	for i := range w.parent {
-		w.parent[i] = NotVisited
-		w.level[i] = NotVisited
-	}
+	fill(w.parent, NotVisited)
+	copy(w.level, w.parent)
 	w.parent[source] = source
 	w.level[source] = 0
 	w.result = Result{
@@ -115,6 +113,18 @@ func (w *Workspace) begin(g *graph.CSR, source int32) *Result {
 		Exchanges:  w.exchanges[:0],
 	}
 	return &w.result
+}
+
+// fill sets every element of s to v by doubling copies, which run as
+// memmove instead of a per-element loop.
+func fill(s []int32, v int32) {
+	if len(s) == 0 {
+		return
+	}
+	s[0] = v
+	for i := 1; i < len(s); i *= 2 {
+		copy(s[i:], s[:i])
+	}
 }
 
 // retain stores a finished traversal's grown slices back into the

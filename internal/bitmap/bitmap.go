@@ -164,9 +164,9 @@ func (b *Bitmap) AppendSet(dst []int32) []int32 {
 	return dst
 }
 
-// Words exposes the backing words for size accounting (e.g. modelling
-// a frontier transfer across a PCIe link). The slice must not be
-// mutated.
+// Words exposes the backing words for word-at-a-time readers (the
+// bottom-up kernel) and size accounting (e.g. modelling a frontier
+// transfer across a PCIe link). The slice must not be mutated.
 func (b *Bitmap) Words() []uint64 { return b.words }
 
 // SizeBytes returns the in-memory size of the bit data in bytes, which

@@ -61,9 +61,8 @@ const (
 	// Reused (workspace recycled vs fresh), Wall.
 	KindTraversalStart Kind = iota
 	// KindLevel reports one completed expansion step of a real
-	// traversal: Step, Dir, FrontierVertices, FrontierEdges (-1 when
-	// skipped), Discovered, Unvisited, Scans, Grains, Workers, Wall,
-	// WallDur.
+	// traversal: Step, Dir, FrontierVertices, FrontierEdges,
+	// Discovered, Unvisited, Scans, Grains, Workers, Wall, WallDur.
 	KindLevel
 	// KindSwitch marks a direction change between consecutive steps of
 	// a real traversal (Dir is the new direction, Step the first step
@@ -112,8 +111,8 @@ const (
 	// KindCollective reports the per-level all-reduce of a sharded
 	// traversal — the global switch decision: Step, Dir (the direction
 	// chosen for this step), FrontierVertices/FrontierEdges/Unvisited
-	// (global sums; FrontierEdges -1 when skipped), Workers (ranks),
-	// Wall. Emitted once per step by the reduction leader.
+	// (global sums), Workers (ranks), Wall. Emitted once per step by
+	// the reduction leader.
 	KindCollective
 	// KindGhostUpdate reports a rank applying remote top-down claims to
 	// vertices it owns: Step, Index (rank), Scans (claims received),
@@ -235,8 +234,7 @@ type Event struct {
 	Dir Direction
 
 	// Per-level work counts (KindLevel), mirroring bfs.StepInfo plus
-	// the step outcome. FrontierEdges is -1 when collection was
-	// skipped (no live recorder and the policy opted out).
+	// the step outcome.
 	FrontierVertices int64
 	FrontierEdges    int64
 	Discovered       int64

@@ -32,7 +32,8 @@ const align = 64
 // Layout records where each rank's owned vertex range starts. Rank r
 // owns [Starts[r], Starts[r+1]); Starts has Ranks()+1 entries, the
 // first 0 and the last |V|. All interior boundaries are multiples of
-// 64.
+// 64, except those clamped to an unaligned |V|, which start empty tail
+// ranks.
 type Layout struct {
 	Starts []int32
 }
@@ -50,9 +51,14 @@ func (l *Layout) Range(r int) (lo, hi int32) {
 
 // WordRange returns rank r's owned range in 64-bit bitmap words
 // [loWord, hiWord). Because interior boundaries are 64-aligned, word
-// ranges of distinct ranks are disjoint.
+// ranges of distinct ranks are disjoint. The one unaligned start is an
+// empty tail rank clamped to |V|; it gets an empty word range, since
+// rounding its end up would hand it the previous rank's last word.
 func (l *Layout) WordRange(r int) (loWord, hiWord int) {
 	lo, hi := l.Range(r)
+	if lo == hi {
+		return int(lo) / align, int(lo) / align
+	}
 	return int(lo) / align, (int(hi) + align - 1) / align
 }
 

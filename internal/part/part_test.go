@@ -88,19 +88,31 @@ func TestPartitionEdgeBalance(t *testing.T) {
 }
 
 func TestWordRangesDisjoint(t *testing.T) {
-	g := rmatGraph(t, 10, 8, 2)
-	for _, ranks := range []int{2, 3, 7} {
-		p, err := Partition(g, ranks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prevHi := 0
-		for r := 0; r < ranks; r++ {
-			lo, hi := p.Layout.WordRange(r)
-			if lo < prevHi {
-				t.Fatalf("ranks=%d: rank %d word range [%d,%d) overlaps previous end %d", ranks, r, lo, hi, prevHi)
+	cases := []struct {
+		g     *graph.CSR
+		ranks []int
+	}{
+		{rmatGraph(t, 10, 8, 2), []int{2, 3, 7}},
+		// 169 vertices over 8 ranks: the last rank is empty and starts
+		// at the unaligned |V|.
+		{lattice(t, 13), []int{8}},
+	}
+	for _, c := range cases {
+		for _, ranks := range c.ranks {
+			p, err := Partition(c.g, ranks)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if hi > lo {
+			prevHi := 0
+			for r := 0; r < ranks; r++ {
+				lo, hi := p.Layout.WordRange(r)
+				if hi == lo {
+					continue // an empty range overlaps nothing
+				}
+				if lo < prevHi {
+					t.Fatalf("n=%d ranks=%d: rank %d word range [%d,%d) overlaps previous end %d",
+						c.g.NumVertices(), ranks, r, lo, hi, prevHi)
+				}
 				prevHi = hi
 			}
 		}

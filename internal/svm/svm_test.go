@@ -30,16 +30,26 @@ func TestRBFKernel(t *testing.T) {
 func TestRBFKernelProperties(t *testing.T) {
 	k := RBF{Gamma: 1.3}
 	f := func(ai, bi [3]int8) bool {
-		// Bounded inputs: with unconstrained float64s the squared
-		// distance overflows and exp underflows to exactly 0.
-		x := []float64{float64(ai[0]) / 16, float64(ai[1]) / 16, float64(ai[2]) / 16}
-		y := []float64{float64(bi[0]) / 16, float64(bi[1]) / 16, float64(bi[2]) / 16}
+		// Bounded inputs keep exp from underflowing to exactly 0: float64
+		// exp reaches 0 once gamma*||x-y||^2 passes about 745, and /32
+		// caps it at 1.3 * 3 * (255/32)^2 ~ 248.
+		x := []float64{float64(ai[0]) / 32, float64(ai[1]) / 32, float64(ai[2]) / 32}
+		y := []float64{float64(bi[0]) / 32, float64(bi[1]) / 32, float64(bi[2]) / 32}
 		v := k.Eval(x, y)
 		// Symmetric, bounded in (0, 1], and K(x,x)=1.
 		return v > 0 && v <= 1 && math.Abs(v-k.Eval(y, x)) < 1e-15 && k.Eval(x, x) == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+
+	// A far pair at the old /16 scaling: gamma*||x-y||^2 ~ 751, so exp
+	// underflows to 0. Eval must still be finite, symmetric and in [0, 1].
+	x := []float64{-117.0 / 16, -110.0 / 16, 127.0 / 16}
+	y := []float64{123.0 / 16, 105.0 / 16, -83.0 / 16}
+	v := k.Eval(x, y)
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > 1 || v != k.Eval(y, x) {
+		t.Errorf("RBF on far pair = %g (reversed %g), want a finite symmetric value in [0, 1]", v, k.Eval(y, x))
 	}
 }
 
