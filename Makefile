@@ -33,10 +33,11 @@ lint-json:
 
 # race exercises the concurrent kernels, the parallelGrains scheduler,
 # and the cancellation/fault paths under the race detector. bfs and
-# bitmap hold the goroutine-shared state; core drives the resilient
-# executor's context plumbing.
+# bitmap hold the goroutine-shared state; graph builds the
+# non-isolated mask that concurrent traversals of one graph share;
+# core drives the resilient executor's context plumbing.
 race:
-	$(GO) test -race ./internal/bfs/... ./internal/bitmap/... ./internal/core/... ./internal/obs/... ./internal/serve/...
+	$(GO) test -race ./internal/bfs/... ./internal/bitmap/... ./internal/core/... ./internal/graph/... ./internal/obs/... ./internal/serve/...
 
 # trace-smoke is the end-to-end observability gate: export a Chrome
 # trace from a real run (scale-14 keeps it a few seconds), then have

@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"crossbfs/internal/graph"
 	"crossbfs/internal/obs"
 )
 
@@ -73,7 +74,10 @@ func BenchmarkRunManyRecorderOverhead(b *testing.B) {
 // the paper's Fig. 4 / Table IV claims rest on these kernels, so
 // BENCH_<n>.json tracks each one at two scales. hybrid-w2 pins two
 // workers, so the parallelGrains fan-out runs even at GOMAXPROCS=1;
-// there it records fan-out cost and allocations, not speed-up.
+// there it records fan-out cost and allocations, not speed-up. A
+// 128×128 lattice has no isolated vertex, so bottomup/lattice128
+// records the cost of bottom-up's non-isolated mask where it skips
+// nothing.
 func BenchmarkKernelScales(b *testing.B) {
 	kernels := []struct {
 		name string
@@ -88,21 +92,27 @@ func BenchmarkKernelScales(b *testing.B) {
 		g := benchRMAT(b, scale, 16, 7)
 		src := firstUsableB(b, g)
 		for _, k := range kernels {
-			b.Run(fmt.Sprintf("%s/scale%d", k.name, scale), func(b *testing.B) {
-				ws := NewWorkspace(g.NumVertices())
-				r, err := k.eng.Run(g, src, ws) // warmup
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.SetBytes(r.TraversedEdges * 4) // adjacency bytes touched; MTEPS = MB/s ÷ 4
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := k.eng.Run(g, src, ws); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			benchKernel(b, fmt.Sprintf("%s/scale%d", k.name, scale), k.eng, g, src)
 		}
 	}
+	benchKernel(b, "bottomup/lattice128", BottomUpEngine(0), latticeGraph(b, 128), 0)
+}
+
+// benchKernel times eng from src on g through one reused workspace.
+func benchKernel(b *testing.B, name string, eng Engine, g *graph.CSR, src int32) {
+	b.Run(name, func(b *testing.B) {
+		ws := NewWorkspace(g.NumVertices())
+		r, err := eng.Run(g, src, ws) // warmup
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.SetBytes(r.TraversedEdges * 4) // adjacency bytes touched; MTEPS = MB/s ÷ 4
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.Run(g, src, ws); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

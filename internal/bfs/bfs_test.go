@@ -40,7 +40,7 @@ func starGraph(t *testing.T, n int) *graph.CSR {
 	return mustBuild(t, n, edges)
 }
 
-func mustBuild(t *testing.T, n int, edges []graph.Edge) *graph.CSR {
+func mustBuild(t testing.TB, n int, edges []graph.Edge) *graph.CSR {
 	t.Helper()
 	g, err := graph.Build(n, edges, graph.BuildOptions{Symmetrize: true})
 	if err != nil {
@@ -61,6 +61,40 @@ func partialGrainGraph(t *testing.T) *graph.CSR {
 	edges := make([]graph.Edge, 4*n)
 	for i := range edges {
 		edges[i] = graph.Edge{From: int32(rng.Intn(n - 5)), To: int32(rng.Intn(n - 5))}
+	}
+	return mustBuild(t, n, edges)
+}
+
+// isolatedGraph returns a graph on 2*buGrain+70 vertices whose
+// isolated vertices fill whole bitmap words (64-127 and the second
+// grain's second word) and sit at 0, 63, 64, buGrain-1, buGrain, the
+// last vertex and every third vertex, so bottom-up's non-isolated mask
+// has clear bits at grain and word edges. A ring through the other
+// vertices keeps each of them at degree > 0; random chords shorten it.
+func isolatedGraph(t *testing.T) *graph.CSR {
+	t.Helper()
+	const n = 2*buGrain + 70
+	isolated := func(v int) bool {
+		switch {
+		case v%3 == 0, v/64 == 1, v/64 == buGrain/64+1:
+			return true
+		case v == 63, v == 64, v == buGrain-1, v == buGrain, v == n-1:
+			return true
+		}
+		return false
+	}
+	var live []int32
+	for v := 0; v < n; v++ {
+		if !isolated(v) {
+			live = append(live, int32(v))
+		}
+	}
+	rng := xrand.New(17)
+	edges := make([]graph.Edge, 0, 3*len(live))
+	for i, v := range live {
+		edges = append(edges,
+			graph.Edge{From: v, To: live[(i+1)%len(live)]},
+			graph.Edge{From: v, To: live[rng.Intn(len(live))]})
 	}
 	return mustBuild(t, n, edges)
 }
@@ -207,18 +241,21 @@ func sameTraversal(t *testing.T, name string, want, got *Result) {
 }
 
 // TestKernelsAgreeWithSerial checks every kernel against the serial
-// level map. rmat13 and grains have more than buGrain vertices, so at
-// 2 and 4 workers the bottom-up level fans out over several grains;
-// grains also ends in a partial grain and a partial word. The bottom-up
-// scan counts must match ComputeTrace's at every worker count.
+// level map. rmat13, grains and isolated have more than buGrain
+// vertices, so at 2 and 4 workers the bottom-up level fans out over
+// several grains; grains also ends in a partial grain and a partial
+// word, and isolated leaves whole words out of the bottom-up walk. The
+// bottom-up scan counts must match ComputeTrace's at every worker
+// count.
 func TestKernelsAgreeWithSerial(t *testing.T) {
 	graphs := map[string]*graph.CSR{
-		"path":   pathGraph(t, 17),
-		"star":   starGraph(t, 33),
-		"rmat9":  testRMAT(t, 9, 8, 1),
-		"rmat8":  testRMAT(t, 8, 16, 7),
-		"rmat13": testRMAT(t, 13, 8, 3),
-		"grains": partialGrainGraph(t),
+		"path":     pathGraph(t, 17),
+		"star":     starGraph(t, 33),
+		"rmat9":    testRMAT(t, 9, 8, 1),
+		"rmat8":    testRMAT(t, 8, 16, 7),
+		"rmat13":   testRMAT(t, 13, 8, 3),
+		"grains":   partialGrainGraph(t),
+		"isolated": isolatedGraph(t),
 	}
 	for name, g := range graphs {
 		src := int32(0)
@@ -437,7 +474,8 @@ type counterGraph struct {
 
 // counterGraphs are the shapes the counter tests run on: long levels,
 // one hub level, a second component the counters must leave out, an
-// isolated root, R-MAT skew, and a bottom-up level over several grains.
+// isolated root, R-MAT skew, a bottom-up level over several grains, and
+// one whose isolated vertices sit at word and grain edges.
 func counterGraphs(t *testing.T) []counterGraph {
 	t.Helper()
 	twoComponents := mustBuild(t, 40, []graph.Edge{
@@ -451,14 +489,14 @@ func counterGraphs(t *testing.T) []counterGraph {
 		{"isolated-root", twoComponents, 30},
 		{"rmat", testRMAT(t, 10, 8, 5), 3},
 		{"grains", partialGrainGraph(t), 0},
+		{"isolated", isolatedGraph(t), 1},
 	}
 }
 
-// TestResultCounters checks VisitedCount and TraversedEdges of every
-// engine against a recount from the level map. One workspace serves
-// every run on a graph, so a counter that survives into the next
-// traversal shows too.
-func TestResultCounters(t *testing.T) {
+// counterEngines are the engines the counter tests run: every kernel
+// and policy at 1 and 4 workers, and the sharded engine at 1, 2 and 4
+// ranks.
+func counterEngines() []Engine {
 	engines := []Engine{SerialEngine()}
 	for _, w := range []int{1, 4} {
 		engines = append(engines,
@@ -469,6 +507,15 @@ func TestResultCounters(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4} {
 		engines = append(engines, NewShardedEngine(ranks, DefaultM, DefaultN))
 	}
+	return engines
+}
+
+// TestResultCounters checks VisitedCount and TraversedEdges of every
+// engine against a recount from the level map. One workspace serves
+// every run on a graph, so a counter that survives into the next
+// traversal shows too.
+func TestResultCounters(t *testing.T) {
+	engines := counterEngines()
 	for _, tc := range counterGraphs(t) {
 		ws := NewWorkspace(tc.g.NumVertices())
 		for i, e := range engines {
@@ -481,6 +528,35 @@ func TestResultCounters(t *testing.T) {
 			if r.VisitedCount != visited || r.TraversedEdges != traversed {
 				t.Errorf("%s: VisitedCount %d, recount %d; TraversedEdges %d, recount %d",
 					label, r.VisitedCount, visited, r.TraversedEdges, traversed)
+			}
+		}
+	}
+}
+
+// TestEdgelessGraph runs every engine on a 130-vertex graph with no
+// edges, where bottom-up's non-isolated mask is all zeros, including
+// the partial tail word: the source is the only vertex reached, in one
+// step.
+func TestEdgelessGraph(t *testing.T) {
+	g := mustBuild(t, 130, nil)
+	const src = 5
+	for i, e := range counterEngines() {
+		label := fmt.Sprintf("%d:%s", i, e.Name())
+		r, err := e.Run(g, src, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if r.VisitedCount != 1 || r.NumLevels() != 1 {
+			t.Errorf("%s: VisitedCount %d in %d steps, want 1 in 1", label, r.VisitedCount, r.NumLevels())
+		}
+		for v, l := range r.Level {
+			want := NotVisited
+			if v == src {
+				want = 0
+			}
+			if l != want {
+				t.Errorf("%s: Level[%d] = %d, want %d", label, v, l, want)
+				break
 			}
 		}
 	}

@@ -35,13 +35,14 @@ type levelTotals struct {
 // traversal.
 func bottomUpLevel(ctx context.Context, g *graph.CSR, r *Result, visited, front, next *bitmap.Bitmap, level int32, workers int) (found, scans, degrees int64, err error) {
 	n := g.NumVertices()
+	live := g.NonIsolated()
 	if resolveWorkers(workers, (n+buGrain-1)/buGrain) == 1 {
-		found, scans, degrees = bottomUpRange(g, r, visited, front, next, level, 0, n)
+		found, scans, degrees = bottomUpRange(g, r, visited, front, next, live, level, 0, n)
 		return found, scans, degrees, nil
 	}
 	var t levelTotals
 	err = parallelGrains(ctx, n, buGrain, workers, func(_, start, end int) {
-		f, s, d := bottomUpRange(g, r, visited, front, next, level, start, end)
+		f, s, d := bottomUpRange(g, r, visited, front, next, live, level, start, end)
 		t.found.Add(f)
 		t.scans.Add(s)
 		t.degrees.Add(d)
@@ -53,8 +54,12 @@ func bottomUpLevel(ctx context.Context, g *graph.CSR, r *Result, visited, front,
 }
 
 // bottomUpRange runs the bottom-up step over vertices [start, end). It
-// walks visited a 64-bit word at a time, visits only the unvisited
-// bits, and builds each next word in a register that it stores once.
+// walks visited a 64-bit word at a time, visits only the bits that are
+// unvisited and set in live (g.NonIsolated()), and builds each next
+// word in a register that it stores once. A vertex without edges can
+// never be discovered, so leaving it out of the walk changes no result
+// or count; live has no bits at or beyond |V|, which masks the tail
+// word.
 //
 // start must be a multiple of 64, and end a multiple of 64 or the
 // vertex count, so the range owns whole words of next. Parallel grains
@@ -62,16 +67,13 @@ func bottomUpLevel(ctx context.Context, g *graph.CSR, r *Result, visited, front,
 // with plain stores. Scan counts are exact: i+1 for a vertex whose
 // first frontier neighbour sits at position i, its full degree for a
 // vertex with none.
-func bottomUpRange(g *graph.CSR, r *Result, visited, front, next *bitmap.Bitmap, level int32, start, end int) (found, scans, degrees int64) {
+func bottomUpRange(g *graph.CSR, r *Result, visited, front, next *bitmap.Bitmap, live []uint64, level int32, start, end int) (found, scans, degrees int64) {
 	seen, frontier := visited.Words(), front.Words()
 	offsets, adj := g.Offsets, g.Adj
 	parent, levels := r.Parent, r.Level
 	for base := start; base < end; base += 64 {
 		wi := base / 64
-		todo := ^seen[wi]
-		if end-base < 64 {
-			todo &= 1<<uint(end-base) - 1
-		}
+		todo := ^seen[wi] & live[wi]
 		var word uint64
 		for todo != 0 {
 			bit := bits.TrailingZeros64(todo)

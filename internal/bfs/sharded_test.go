@@ -15,7 +15,7 @@ import (
 // latticeGraph returns a side×side 4-neighbor grid — the high-diameter
 // counterpoint to R-MAT's low-diameter skew, exercising many levels
 // (and therefore many collective rounds) per traversal.
-func latticeGraph(t *testing.T, side int) *graph.CSR {
+func latticeGraph(t testing.TB, side int) *graph.CSR {
 	t.Helper()
 	var edges []graph.Edge
 	at := func(r, c int) int32 { return int32(r*side + c) }
@@ -25,7 +25,7 @@ func latticeGraph(t *testing.T, side int) *graph.CSR {
 				edges = append(edges, graph.Edge{From: at(r, c), To: at(r, c+1)})
 			}
 			if r+1 < side {
-				edges = append(edges, graph.Edge{From: at(r, c), To: at(r + 1, c)})
+				edges = append(edges, graph.Edge{From: at(r, c), To: at(r+1, c)})
 			}
 		}
 	}

@@ -36,6 +36,7 @@ func FuzzReadFrom(f *testing.F) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted graph fails validation: %v", err)
 		}
+		checkNonIsolated(t, "accepted graph", g)
 	})
 }
 

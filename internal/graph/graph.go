@@ -11,7 +11,9 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Edge is a directed edge in an edge list. BFS treats graphs as
@@ -24,9 +26,17 @@ type Edge struct {
 // The neighbors of vertex v are Adj[Offsets[v]:Offsets[v+1]], sorted
 // ascending. Offsets has NumVertices+1 entries; Adj has NumEdges
 // entries (each undirected edge appears twice after symmetrization).
+//
+// A CSR is shared by pointer and never copied by value: it caches
+// derived data under a sync.Once (see NonIsolated). Nor is it modified
+// after construction, beyond the reorderings in reorder.go, which only
+// permute entries within each adjacency list and so keep every degree.
 type CSR struct {
 	Offsets []int64
 	Adj     []int32
+
+	nonIsolatedOnce sync.Once
+	nonIsolated     []uint64
 }
 
 // NumVertices returns |V|.
@@ -45,6 +55,33 @@ func (g *CSR) Degree(v int32) int64 {
 // graph's storage and must not be modified.
 func (g *CSR) Neighbors(v int32) []int32 {
 	return g.Adj[g.Offsets[v]:g.Offsets[v+1]]
+}
+
+// NonIsolated returns a bitmap of the vertices that have an edge: bit
+// v%64 of word v/64 is set iff Degree(v) > 0, and no bit at or beyond
+// |V| is set. It is built on first use and cached on the graph, so
+// every traversal of g shares one copy; callers must not modify it.
+func (g *CSR) NonIsolated() []uint64 {
+	g.nonIsolatedOnce.Do(g.buildNonIsolated)
+	return g.nonIsolated
+}
+
+// buildNonIsolated builds each mask word in a register and stores it
+// once.
+func (g *CSR) buildNonIsolated() {
+	n := g.NumVertices()
+	mask := make([]uint64, (n+63)/64)
+	for wi := range mask {
+		base := wi * 64
+		var word uint64
+		for v := base; v < min(base+64, n); v++ {
+			if g.Offsets[v+1] != g.Offsets[v] {
+				word |= 1 << uint(v-base)
+			}
+		}
+		mask[wi] = word
+	}
+	g.nonIsolated = mask
 }
 
 // HasEdge reports whether the directed edge (u, v) exists, by binary
@@ -138,8 +175,7 @@ func Build(numVertices int, edges []Edge, opts BuildOptions) (*CSR, error) {
 // sortAdjacency sorts each adjacency list ascending.
 func (g *CSR) sortAdjacency() {
 	for v := 0; v < g.NumVertices(); v++ {
-		adj := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+		slices.Sort(g.Adj[g.Offsets[v]:g.Offsets[v+1]])
 	}
 }
 

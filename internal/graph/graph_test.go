@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -222,4 +224,86 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if bad3.Validate() == nil {
 		t.Error("offsets not starting at zero not caught")
 	}
+}
+
+// checkNonIsolated checks g.NonIsolated() bit by bit: bit v is set iff
+// Degree(v) > 0, and no bit at or beyond |V| is set.
+func checkNonIsolated(t testing.TB, name string, g *CSR) {
+	t.Helper()
+	n := g.NumVertices()
+	mask := g.NonIsolated()
+	if len(mask) != (n+63)/64 {
+		t.Fatalf("%s: %d mask words for %d vertices", name, len(mask), n)
+	}
+	for v := 0; v < 64*len(mask); v++ {
+		set := mask[v/64]&(1<<uint(v%64)) != 0
+		if want := v < n && g.Degree(int32(v)) > 0; set != want {
+			t.Fatalf("%s: bit %d is %v, want %v (|V| = %d)", name, v, set, want, n)
+		}
+	}
+}
+
+func TestNonIsolated(t *testing.T) {
+	// 65 vertices on a path through 0..63: word 0 is full and the
+	// isolated tail, vertex 64, leaves word 1 empty.
+	var path []Edge
+	for v := int32(0); v < 63; v++ {
+		path = append(path, Edge{v, v + 1})
+	}
+	tail := mustBuild(t, 65, path, BuildOptions{Symmetrize: true})
+	var buf bytes.Buffer
+	if _, err := tail.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	readBack, err := ReadFrom(&buf)
+	if err != nil {
+		t.Fatalf("ReadFrom: %v", err)
+	}
+	// Vertex 1 has only a self-loop, which Build drops by default.
+	loop := []Edge{{1, 1}, {0, 2}}
+	cases := []struct {
+		name string
+		g    *CSR
+	}{
+		{"empty", mustBuild(t, 0, nil, BuildOptions{})},
+		{"one-vertex", mustBuild(t, 1, nil, BuildOptions{})},
+		{"isolated-tail", tail},
+		{"self-loop-dropped", mustBuild(t, 3, loop, BuildOptions{Symmetrize: true})},
+		{"self-loop-kept", mustBuild(t, 3, loop, BuildOptions{Symmetrize: true, KeepSelfLoops: true})},
+		{"read-back", readBack},
+	}
+	for _, tc := range cases {
+		checkNonIsolated(t, tc.name, tc.g)
+	}
+}
+
+// TestNonIsolatedConcurrent has 8 goroutines ask a fresh graph for its
+// mask at once, as concurrent traversals of one graph do: every caller
+// must get the one cached backing array.
+func TestNonIsolatedConcurrent(t *testing.T) {
+	rng := xrand.New(5)
+	edges := make([]Edge, 300)
+	for i := range edges {
+		edges[i] = Edge{int32(rng.Intn(1000)), int32(rng.Intn(1000))}
+	}
+	g := mustBuild(t, 1000, edges, BuildOptions{Symmetrize: true})
+	masks := make([][]uint64, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range masks {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			masks[i] = g.NonIsolated()
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, m := range masks {
+		if &m[0] != &masks[0][0] {
+			t.Errorf("caller %d got a different mask array", i)
+		}
+	}
+	checkNonIsolated(t, "concurrent", g)
 }
