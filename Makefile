@@ -1,9 +1,9 @@
 # Verification entry points for crossbfs. `make verify` is the gate
-# the repo's CI-equivalent runs: vet, the project's own analyzers, the
-# unit suite, the race detector over the concurrent core, the trace
-# smoke, the sharded fault-injection chaos suite, the serving and
-# metrics smokes (bfsd + bfsload end to end), and vet plus tests of
-# the perfbench module.
+# the repo's CI-equivalent runs: the gofmt check, vet, the project's
+# own analyzers, the unit suite, the race detector over the concurrent
+# core, the trace smoke, the sharded fault-injection chaos suite, the
+# serving and metrics smokes (bfsd + bfsload end to end), and vet plus
+# tests of the perfbench module.
 
 GO ?= go
 
@@ -17,10 +17,14 @@ build:
 test:
 	$(GO) test ./...
 
-# lint runs go vet plus crossbfslint, the codebase-specific analyzer
-# suite (sharedwrite, atomicpair, indexarith, grainloop, ctxcheck,
-# hotalloc, obsdiscipline, faulterr). See internal/lint and LINTING.md.
+# lint fails when gofmt would reformat any tracked .go file (tracked,
+# so build output such as .bench_build/ is never walked), then runs go
+# vet plus crossbfslint, the codebase-specific analyzer suite
+# (sharedwrite, atomicpair, indexarith, grainloop, ctxcheck, hotalloc,
+# obsdiscipline, faulterr). See internal/lint and LINTING.md.
 lint:
+	@unformatted="$$(git ls-files -z '*.go' | xargs -0 "$$($(GO) env GOROOT)/bin/gofmt" -l)"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/crossbfslint ./...
 

@@ -56,8 +56,11 @@ type Result struct {
 	// Serial and single-direction runs fill it with their direction.
 	Directions []Direction
 	// StepScans[i] is the number of adjacency entries the bottom-up
-	// kernel scanned at step i+1, or 0 for top-down steps. It lets
-	// callers cross-check the analytical trace against the kernels.
+	// kernel tested at step i+1, or 0 for top-down steps: one per hub
+	// probe, plus the CSR-order scans of the vertices the probes did
+	// not discover (see bottomUpRange). ComputeTrace's BottomUpScans
+	// counts the paper kernel's CSR-order scans without probes; the two
+	// agree on a graph where no vertex has a bigger neighbour.
 	StepScans []int64
 	// Exchanges records, for partitioned (sharded) traversals, the
 	// per-level communication volume: one entry per expansion step, in

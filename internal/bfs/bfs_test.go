@@ -112,6 +112,93 @@ func countFromLevels(g *graph.CSR, r *Result) (visited, traversed int64) {
 	return visited, traversed
 }
 
+// ringGraph returns the cycle 0-1-...-(n-1)-0. Every degree is 2, so
+// no vertex has a strictly bigger neighbour and the hub index is empty.
+func ringGraph(t *testing.T, n int) *graph.CSR {
+	t.Helper()
+	edges := make([]graph.Edge, n)
+	for i := range edges {
+		edges[i] = graph.Edge{From: int32(i), To: int32((i + 1) % n)}
+	}
+	return mustBuild(t, n, edges)
+}
+
+// hubOf recomputes v's hub from the graph, without the cached index:
+// the smallest id among v's neighbours of largest degree, if that
+// degree is strictly greater than v's, and -1 otherwise.
+func hubOf(g *graph.CSR, v int32) int32 {
+	var top int64
+	for _, u := range g.Neighbors(v) {
+		top = max(top, g.Degree(u))
+	}
+	if top <= g.Degree(v) {
+		return -1
+	}
+	hub := int32(g.NumVertices())
+	for _, u := range g.Neighbors(v) {
+		if g.Degree(u) == top {
+			hub = min(hub, u)
+		}
+	}
+	return hub
+}
+
+// hubScans recounts, from the graph and r's level map alone, the
+// adjacency entries the bottom-up kernel tests at each bottom-up step
+// k of r, whose frontier is level k-1; top-down steps count 0. Every
+// vertex still unvisited at step k pays one test for probing its hub,
+// if it has one; if that hub is not in the frontier, it then scans its
+// list in CSR order, i+1 entries up to a first frontier neighbour at
+// position i or its full degree.
+func hubScans(g *graph.CSR, r *Result) []int64 {
+	hubs := make([]int32, g.NumVertices())
+	for v := range hubs {
+		hubs[v] = hubOf(g, int32(v))
+	}
+	scans := make([]int64, len(r.Directions))
+	for i, d := range r.Directions {
+		if d != BottomUp {
+			continue
+		}
+		k := int32(i + 1)
+		for v, l := range r.Level {
+			if l != NotVisited && l < k {
+				continue
+			}
+			if h := hubs[v]; h >= 0 {
+				scans[i]++
+				if r.Level[h] == k-1 {
+					continue
+				}
+			}
+			adj := g.Neighbors(int32(v))
+			scanned := int64(len(adj))
+			for j, u := range adj {
+				if r.Level[u] == k-1 {
+					scanned = int64(j) + 1
+					break
+				}
+			}
+			scans[i] += scanned
+		}
+	}
+	return scans
+}
+
+// checkScans requires r.StepScans to equal hubScans' recount.
+func checkScans(t testing.TB, name string, g *graph.CSR, r *Result) {
+	t.Helper()
+	want := hubScans(g, r)
+	if len(r.StepScans) != len(want) {
+		t.Fatalf("%s: %d step-scan entries for %d steps", name, len(r.StepScans), len(want))
+	}
+	for i, d := range r.Directions {
+		if r.StepScans[i] != want[i] {
+			t.Errorf("%s: step %d (%s) tested %d entries, recount says %d", name, i+1, d, r.StepScans[i], want[i])
+		}
+	}
+}
+
 func testRMAT(t *testing.T, scale, ef int, seed uint64) *graph.CSR {
 	t.Helper()
 	p := rmat.DefaultParams(scale, ef)
@@ -241,12 +328,13 @@ func sameTraversal(t *testing.T, name string, want, got *Result) {
 }
 
 // TestKernelsAgreeWithSerial checks every kernel against the serial
-// level map. rmat13, grains and isolated have more than buGrain
+// level map. rmat13, grains, isolated and ring have more than buGrain
 // vertices, so at 2 and 4 workers the bottom-up level fans out over
 // several grains; grains also ends in a partial grain and a partial
-// word, and isolated leaves whole words out of the bottom-up walk. The
-// bottom-up scan counts must match ComputeTrace's at every worker
-// count.
+// word, isolated leaves whole words out of the bottom-up walk, and no
+// ring vertex has a hub to probe. At every worker count the bottom-up
+// scan counts of the pure bottom-up run and of each hybrid's bottom-up
+// steps must match hubScans' recount.
 func TestKernelsAgreeWithSerial(t *testing.T) {
 	graphs := map[string]*graph.CSR{
 		"path":     pathGraph(t, 17),
@@ -256,6 +344,7 @@ func TestKernelsAgreeWithSerial(t *testing.T) {
 		"rmat13":   testRMAT(t, 13, 8, 3),
 		"grains":   partialGrainGraph(t),
 		"isolated": isolatedGraph(t),
+		"ring":     ringGraph(t, buGrain+70),
 	}
 	for name, g := range graphs {
 		src := int32(0)
@@ -268,10 +357,6 @@ func TestKernelsAgreeWithSerial(t *testing.T) {
 		want, err := Serial(g, src)
 		if err != nil {
 			t.Fatalf("%s: Serial: %v", name, err)
-		}
-		tr, err := ComputeTrace(g, want)
-		if err != nil {
-			t.Fatalf("%s: ComputeTrace: %v", name, err)
 		}
 		for _, workers := range []int{1, 2, 4} {
 			td, err := RunTopDown(g, src, workers)
@@ -293,12 +378,7 @@ func TestKernelsAgreeWithSerial(t *testing.T) {
 				t.Errorf("%s: bottom-up invalid: %v", name, err)
 			}
 			mustInvariants(t, name+"/bottomup", g, bu)
-			for i, s := range tr.Steps {
-				if bu.StepScans[i] != s.BottomUpScans {
-					t.Errorf("%s/%d workers: step %d bottom-up scanned %d, trace says %d",
-						name, workers, i+1, bu.StepScans[i], s.BottomUpScans)
-				}
-			}
+			checkScans(t, fmt.Sprintf("%s/bottomup/%d workers", name, workers), g, bu)
 
 			for _, mn := range [][2]float64{{1, 1}, {10, 10}, {64, 64}, {300, 300}, {2, 500}} {
 				hy, err := Hybrid(g, src, mn[0], mn[1], workers)
@@ -310,6 +390,7 @@ func TestKernelsAgreeWithSerial(t *testing.T) {
 					t.Errorf("%s: hybrid(%v) invalid: %v", name, mn, err)
 				}
 				mustInvariants(t, name+"/hybrid", g, hy)
+				checkScans(t, fmt.Sprintf("%s/hybrid(%v)/%d workers", name, mn, workers), g, hy)
 			}
 		}
 	}

@@ -21,14 +21,14 @@ type levelTotals struct {
 }
 
 // bottomUpLevel expands one level in the bottom-up direction: every
-// unvisited vertex scans its neighbors for a member of the current
-// frontier and adopts the first hit as parent (paper Algorithm 2,
-// lines 7-12, including the early-exit "break"). front is the current
-// frontier as a bitmap; next receives the new frontier (every word is
-// overwritten, so it need not arrive cleared). Returns the number of
-// vertices discovered, the number of edges scanned — the quantity the
-// paper bounds by |E|un and the simulator prices — and the degree sum
-// of the discovered vertices, which is the next level's |E|cq.
+// unvisited vertex looks among its neighbors for a member of the
+// current frontier and adopts the first one it finds as parent (paper
+// Algorithm 2, lines 7-12, including the early-exit "break"). front is
+// the current frontier as a bitmap; next receives the new frontier
+// (every word is overwritten, so it need not arrive cleared). Returns
+// the number of vertices discovered, the number of adjacency entries
+// tested (see bottomUpRange), and the degree sum of the discovered
+// vertices, which is the next level's |E|cq.
 //
 // Cancellation is observed at grain boundaries (see parallelGrains);
 // on error the counts are meaningless and the caller must abandon the
@@ -36,13 +36,14 @@ type levelTotals struct {
 func bottomUpLevel(ctx context.Context, g *graph.CSR, r *Result, visited, front, next *bitmap.Bitmap, level int32, workers int) (found, scans, degrees int64, err error) {
 	n := g.NumVertices()
 	live := g.NonIsolated()
+	hub, hasHub := g.Hubs()
 	if resolveWorkers(workers, (n+buGrain-1)/buGrain) == 1 {
-		found, scans, degrees = bottomUpRange(g, r, visited, front, next, live, level, 0, n)
+		found, scans, degrees = bottomUpRange(g, r, visited, front, next, live, hub, hasHub, level, 0, n)
 		return found, scans, degrees, nil
 	}
 	var t levelTotals
 	err = parallelGrains(ctx, n, buGrain, workers, func(_, start, end int) {
-		f, s, d := bottomUpRange(g, r, visited, front, next, live, level, start, end)
+		f, s, d := bottomUpRange(g, r, visited, front, next, live, hub, hasHub, level, start, end)
 		t.found.Add(f)
 		t.scans.Add(s)
 		t.degrees.Add(d)
@@ -61,20 +62,46 @@ func bottomUpLevel(ctx context.Context, g *graph.CSR, r *Result, visited, front,
 // or count; live has no bits at or beyond |V|, which masks the tail
 // word.
 //
+// Each word runs in two phases. The probe tests the frontier bit of
+// hub[v] (g.Hubs()) for every walked vertex whose hasHub bit is set,
+// without reading Adj: on a skewed graph the bigger neighbour is
+// usually reached first, and any frontier neighbour of an unvisited
+// vertex is a valid parent. The scan then walks the adjacency lists of
+// the vertices the probe did not discover, in CSR order, as Algorithm
+// 2 does.
+//
 // start must be a multiple of 64, and end a multiple of 64 or the
 // vertex count, so the range owns whole words of next. Parallel grains
 // therefore write disjoint next words and disjoint parent/level slots
-// with plain stores. Scan counts are exact: i+1 for a vertex whose
-// first frontier neighbour sits at position i, its full degree for a
-// vertex with none.
-func bottomUpRange(g *graph.CSR, r *Result, visited, front, next *bitmap.Bitmap, live []uint64, level int32, start, end int) (found, scans, degrees int64) {
+// with plain stores. Scan counts are exact adjacency-entry tests: one
+// per probe, plus, for a vertex the probe did not discover, i+1 when
+// its first frontier neighbour sits at position i and its full degree
+// when it has none. The hub is one of v's entries, so a missed probe
+// and the scan can test the same entry twice. ComputeTrace counts the
+// paper kernel's CSR-order scans alone.
+func bottomUpRange(g *graph.CSR, r *Result, visited, front, next *bitmap.Bitmap, live []uint64, hub []int32, hasHub []uint64, level int32, start, end int) (found, scans, degrees int64) {
 	seen, frontier := visited.Words(), front.Words()
 	offsets, adj := g.Offsets, g.Adj
 	parent, levels := r.Parent, r.Level
 	for base := start; base < end; base += 64 {
 		wi := base / 64
 		todo := ^seen[wi] & live[wi]
+		probe := todo & hasHub[wi]
 		var word uint64
+		for p := probe; p != 0; p &= p - 1 {
+			bit := bits.TrailingZeros64(p)
+			h := uint32(hub[base+bit])
+			word |= (frontier[h/64] >> (h % 64) & 1) << uint(bit)
+		}
+		scans += int64(bits.OnesCount64(probe))
+		found += int64(bits.OnesCount64(word))
+		for hits := word; hits != 0; hits &= hits - 1 {
+			v := base + bits.TrailingZeros64(hits)
+			parent[v] = hub[v]
+			levels[v] = level
+			degrees += offsets[v+1] - offsets[v]
+		}
+		todo &^= word
 		for todo != 0 {
 			bit := bits.TrailingZeros64(todo)
 			todo &= todo - 1

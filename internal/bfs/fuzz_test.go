@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -36,7 +37,8 @@ func mnReference(m, n float64, s StepInfo) Direction {
 //     direction sequence: step 1 expands the single-vertex source
 //     frontier, so on a connected seed it is top-down unless the
 //     normalized thresholds are genuinely crossed already (tiny
-//     graphs), and never an unknown direction.
+//     graphs), and never an unknown direction. Its bottom-up steps
+//     must test exactly the adjacency entries hubScans recounts.
 func FuzzHeuristicSwitch(f *testing.F) {
 	f.Add(64.0, 64.0, uint64(1), []byte{1, 10, 200, 50, 3})
 	f.Add(0.0, 0.0, uint64(2), []byte{1, 1, 1})
@@ -122,6 +124,7 @@ func FuzzHeuristicSwitch(f *testing.F) {
 			t.Fatalf("counters: VisitedCount %d, recount %d; TraversedEdges %d, recount %d",
 				r.VisitedCount, visited, r.TraversedEdges, traversed)
 		}
+		checkScans(t, fmt.Sprintf("MN{%g,%g}", m, n), g, r)
 		// Replay the trace: every recorded direction must match what a
 		// fresh policy would choose for that step's frontier, and step 1
 		// (frontier = {source}) must follow the rule exactly — bottom-up

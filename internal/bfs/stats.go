@@ -26,9 +26,11 @@ type LevelStats struct {
 	// UnvisitedEdges is the sum of their degrees, the paper's |E|un
 	// upper bound on bottom-up work.
 	UnvisitedEdges int64
-	// BottomUpScans is the exact number of adjacency entries a
-	// bottom-up step scans, accounting for the early exit at the first
-	// parent found.
+	// BottomUpScans is the exact number of adjacency entries the
+	// paper's bottom-up step scans in CSR order, accounting for the
+	// early exit at the first parent found. It is what archsim prices.
+	// The live kernel probes each vertex's hub before it scans, so its
+	// Result.StepScans counts differently wherever a vertex has a hub.
 	BottomUpScans int64
 	// MaxFrontierDegree is the largest degree among frontier vertices:
 	// the critical path of a vertex-parallel top-down step, since one

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -123,9 +124,13 @@ func TestTraceInvariants(t *testing.T) {
 	}
 }
 
-// TestTraceMatchesKernelScans is the key soundness check for the whole
-// replay approach: the analytical BottomUpScans must equal what the
-// real bottom-up kernel actually scans, level by level.
+// TestTraceMatchesKernelScans ties the live bottom-up scan counts to
+// two recounts. On R-MAT the kernel probes each vertex's hub before
+// it scans, so StepScans must equal hubScans' probe-plus-scan recount.
+// On a ring no vertex has a hub and the kernel scans as the paper's
+// does, so StepScans must equal the analytical BottomUpScans that
+// ComputeTrace derives and archsim prices: the key soundness check of
+// the replay approach, at every worker count.
 func TestTraceMatchesKernelScans(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		p := rmat.DefaultParams(9, 8)
@@ -145,17 +150,26 @@ func TestTraceMatchesKernelScans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkScans(t, fmt.Sprintf("seed %d", seed), g, r)
+	}
+
+	g := ringGraph(t, buGrain+70)
+	for _, workers := range []int{1, 2, 4} {
+		r, err := RunBottomUp(g, 5, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tr, err := ComputeTrace(g, r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(tr.Steps) != len(r.StepScans) {
-			t.Fatalf("seed %d: %d trace steps vs %d kernel steps", seed, len(tr.Steps), len(r.StepScans))
+			t.Fatalf("ring/%d workers: %d trace steps vs %d kernel steps", workers, len(tr.Steps), len(r.StepScans))
 		}
 		for i, s := range tr.Steps {
 			if s.BottomUpScans != r.StepScans[i] {
-				t.Errorf("seed %d step %d: trace predicts %d scans, kernel did %d",
-					seed, i+1, s.BottomUpScans, r.StepScans[i])
+				t.Errorf("ring/%d workers: step %d: trace predicts %d scans, kernel did %d",
+					workers, i+1, s.BottomUpScans, r.StepScans[i])
 			}
 		}
 	}

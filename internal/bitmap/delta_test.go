@@ -131,11 +131,11 @@ func TestDeltaEmpty(t *testing.T) {
 func TestApplyDeltaRejectsMalformed(t *testing.T) {
 	b := New(128)
 	cases := map[string][]byte{
-		"truncated index": {0x80},             // unterminated varint
-		"missing word":    {0x00},             // index with no word value
-		"truncated word":  {0x00, 0x80},       // word varint unterminated
-		"out of range":    {0x7F, 0x01},       // gap 127 >= 2 words
-		"huge gap": append(bytes.Repeat([]byte{0xFF}, 9), 0x01, 0x01), // ~2^63 gap
+		"truncated index": {0x80},                                            // unterminated varint
+		"missing word":    {0x00},                                            // index with no word value
+		"truncated word":  {0x00, 0x80},                                      // word varint unterminated
+		"out of range":    {0x7F, 0x01},                                      // gap 127 >= 2 words
+		"huge gap":        append(bytes.Repeat([]byte{0xFF}, 9), 0x01, 0x01), // ~2^63 gap
 	}
 	for name, data := range cases {
 		if _, err := b.ApplyDelta(data, 0); err == nil {

@@ -37,6 +37,7 @@ func FuzzReadFrom(f *testing.F) {
 			t.Fatalf("accepted graph fails validation: %v", err)
 		}
 		checkNonIsolated(t, "accepted graph", g)
+		checkHubs(t, "accepted graph", g, nil)
 	})
 }
 

@@ -28,15 +28,18 @@ type Edge struct {
 // entries (each undirected edge appears twice after symmetrization).
 //
 // A CSR is shared by pointer and never copied by value: it caches
-// derived data under a sync.Once (see NonIsolated). Nor is it modified
-// after construction, beyond the reorderings in reorder.go, which only
-// permute entries within each adjacency list and so keep every degree.
+// derived data under a sync.Once (see NonIsolated and Hubs). Nor is it
+// modified after construction, beyond the reorderings in reorder.go,
+// which only permute entries within each adjacency list and so keep
+// every degree and every neighbour set.
 type CSR struct {
 	Offsets []int64
 	Adj     []int32
 
-	nonIsolatedOnce sync.Once
-	nonIsolated     []uint64
+	derivedOnce sync.Once
+	nonIsolated []uint64
+	hub         []int32
+	hasHub      []uint64
 }
 
 // NumVertices returns |V|.
@@ -62,26 +65,52 @@ func (g *CSR) Neighbors(v int32) []int32 {
 // |V| is set. It is built on first use and cached on the graph, so
 // every traversal of g shares one copy; callers must not modify it.
 func (g *CSR) NonIsolated() []uint64 {
-	g.nonIsolatedOnce.Do(g.buildNonIsolated)
+	g.derivedOnce.Do(g.buildDerived)
 	return g.nonIsolated
 }
 
-// buildNonIsolated builds each mask word in a register and stores it
-// once.
-func (g *CSR) buildNonIsolated() {
+// Hubs returns the hub index. hub[v] is v's neighbour of largest
+// degree, ties to the smallest id, kept only if that degree is
+// strictly greater than Degree(v); otherwise hub[v] is -1. Bit v of
+// hasHub is set iff hub[v] >= 0, and no bit at or beyond |V| is set.
+// The index depends on each vertex's neighbour set, not on the order
+// of its adjacency list. It is built with NonIsolated's mask and
+// cached alongside it; callers must not modify either slice.
+func (g *CSR) Hubs() (hub []int32, hasHub []uint64) {
+	g.derivedOnce.Do(g.buildDerived)
+	return g.hub, g.hasHub
+}
+
+// buildDerived builds the non-isolated mask and the hub index in one
+// pass over the vertices, each mask word in a register stored once.
+func (g *CSR) buildDerived() {
 	n := g.NumVertices()
-	mask := make([]uint64, (n+63)/64)
+	words := (n + 63) / 64
+	mask, hasHub := make([]uint64, words), make([]uint64, words)
+	hub := make([]int32, n)
 	for wi := range mask {
 		base := wi * 64
-		var word uint64
+		var live, hubbed uint64
 		for v := base; v < min(base+64, n); v++ {
-			if g.Offsets[v+1] != g.Offsets[v] {
-				word |= 1 << uint(v-base)
+			lo, hi := g.Offsets[v], g.Offsets[v+1]
+			if hi != lo {
+				live |= 1 << uint(v-base)
+			}
+			best, bestDeg := int32(-1), hi-lo
+			for _, u := range g.Adj[lo:hi] {
+				d := g.Degree(u)
+				if d > bestDeg || d == bestDeg && best >= 0 && u < best {
+					best, bestDeg = u, d
+				}
+			}
+			hub[v] = best
+			if best >= 0 {
+				hubbed |= 1 << uint(v-base)
 			}
 		}
-		mask[wi] = word
+		mask[wi], hasHub[wi] = live, hubbed
 	}
-	g.nonIsolated = mask
+	g.nonIsolated, g.hub, g.hasHub = mask, hub, hasHub
 }
 
 // HasEdge reports whether the directed edge (u, v) exists, by binary

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -278,16 +280,14 @@ func TestNonIsolated(t *testing.T) {
 }
 
 // TestNonIsolatedConcurrent has 8 goroutines ask a fresh graph for its
-// mask at once, as concurrent traversals of one graph do: every caller
-// must get the one cached backing array.
+// mask and hub index at once, as concurrent traversals of one graph
+// do, half of them for the index first: every caller must get the one
+// cached backing array of each.
 func TestNonIsolatedConcurrent(t *testing.T) {
-	rng := xrand.New(5)
-	edges := make([]Edge, 300)
-	for i := range edges {
-		edges[i] = Edge{int32(rng.Intn(1000)), int32(rng.Intn(1000))}
-	}
-	g := mustBuild(t, 1000, edges, BuildOptions{Symmetrize: true})
+	g := randomGraph(t, 5, 1000, 300)
 	masks := make([][]uint64, 8)
+	hubs := make([][]int32, 8)
+	hasHubs := make([][]uint64, 8)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := range masks {
@@ -295,15 +295,131 @@ func TestNonIsolatedConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
+			if i%2 == 1 {
+				hubs[i], hasHubs[i] = g.Hubs()
+			}
 			masks[i] = g.NonIsolated()
+			if i%2 == 0 {
+				hubs[i], hasHubs[i] = g.Hubs()
+			}
 		}(i)
 	}
 	close(start)
 	wg.Wait()
-	for i, m := range masks {
-		if &m[0] != &masks[0][0] {
+	for i := range masks {
+		if &masks[i][0] != &masks[0][0] {
 			t.Errorf("caller %d got a different mask array", i)
+		}
+		if &hubs[i][0] != &hubs[0][0] || &hasHubs[i][0] != &hasHubs[0][0] {
+			t.Errorf("caller %d got a different hub index", i)
 		}
 	}
 	checkNonIsolated(t, "concurrent", g)
+	checkHubs(t, "concurrent", g, nil)
+}
+
+// randomGraph builds a symmetrized graph on n vertices from m random
+// edges drawn with the given seed.
+func randomGraph(t *testing.T, seed uint64, n, m int) *CSR {
+	t.Helper()
+	rng := xrand.New(seed)
+	edges := make([]Edge, m)
+	for i := range edges {
+		edges[i] = Edge{int32(rng.Intn(n)), int32(rng.Intn(n))}
+	}
+	return mustBuild(t, n, edges, BuildOptions{Symmetrize: true})
+}
+
+// referenceHubs recomputes the hub index from its definition: order
+// v's neighbours by degree, largest first and smallest id on ties, and
+// keep the first if its degree is strictly greater than v's.
+func referenceHubs(g *CSR) []int32 {
+	hub := make([]int32, g.NumVertices())
+	for v := range hub {
+		nb := slices.Clone(g.Neighbors(int32(v)))
+		slices.SortFunc(nb, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(g.Degree(b), g.Degree(a)), cmp.Compare(a, b))
+		})
+		hub[v] = -1
+		if len(nb) > 0 && g.Degree(nb[0]) > g.Degree(int32(v)) {
+			hub[v] = nb[0]
+		}
+	}
+	return hub
+}
+
+// checkHubs checks g.Hubs() against referenceHubs and, if want is not
+// nil, against want; bit v of hasHub must be set iff hub[v] >= 0, and
+// no bit at or beyond |V| may be set.
+func checkHubs(t testing.TB, name string, g *CSR, want []int32) {
+	t.Helper()
+	n := g.NumVertices()
+	hub, hasHub := g.Hubs()
+	if len(hub) != n || len(hasHub) != (n+63)/64 {
+		t.Fatalf("%s: %d hubs and %d hasHub words for %d vertices", name, len(hub), len(hasHub), n)
+	}
+	ref := referenceHubs(g)
+	for v := range hub {
+		if hub[v] != ref[v] {
+			t.Fatalf("%s: hub[%d] = %d, reference says %d", name, v, hub[v], ref[v])
+		}
+		if want != nil && hub[v] != want[v] {
+			t.Fatalf("%s: hub[%d] = %d, want %d", name, v, hub[v], want[v])
+		}
+	}
+	for v := 0; v < 64*len(hasHub); v++ {
+		set := hasHub[v/64]&(1<<uint(v%64)) != 0
+		if want := v < n && hub[v] >= 0; set != want {
+			t.Fatalf("%s: hasHub bit %d is %v, want %v (|V| = %d)", name, v, set, want, n)
+		}
+	}
+}
+
+func TestHubs(t *testing.T) {
+	// Vertex 0 has two neighbours of degree 3, 2 and 5, and the
+	// smaller id wins; 1 is isolated; the leaves 3, 4, 6 and 7 take
+	// their centre.
+	tie := mustBuild(t, 8, []Edge{{0, 5}, {0, 2}, {2, 3}, {2, 4}, {5, 6}, {5, 7}}, BuildOptions{Symmetrize: true})
+	tieWant := []int32{2, -1, -1, 2, 2, -1, 5, 5}
+	// The same graph with vertex 0's list stored as [5 2]: the tie
+	// goes by id, not by list position.
+	unsorted := tie.Clone()
+	lo := unsorted.Offsets[0]
+	unsorted.Adj[lo], unsorted.Adj[lo+1] = unsorted.Adj[lo+1], unsorted.Adj[lo]
+
+	// 130 random vertices span three hasHub words, the last partial.
+	random := randomGraph(t, 11, 130, 260)
+	var buf bytes.Buffer
+	if _, err := random.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	readBack, err := ReadFrom(&buf)
+	if err != nil {
+		t.Fatalf("ReadFrom: %v", err)
+	}
+	randomWant, _ := random.Hubs()
+	reordered := random.Clone().SortNeighborsByDegree()
+
+	// Vertex 1 has only a self-loop, which Build drops by default; a
+	// kept loop makes 1 its own neighbour, of equal degree.
+	loop := []Edge{{1, 1}, {0, 2}}
+	cases := []struct {
+		name string
+		g    *CSR
+		want []int32
+	}{
+		{"empty", mustBuild(t, 0, nil, BuildOptions{}), []int32{}},
+		{"one-vertex", mustBuild(t, 1, nil, BuildOptions{}), []int32{-1}},
+		{"star", mustBuild(t, 5, []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}}, BuildOptions{Symmetrize: true}), []int32{-1, 0, 0, 0, 0}},
+		{"path", mustBuild(t, 5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}}, BuildOptions{Symmetrize: true}), []int32{1, -1, -1, -1, 3}},
+		{"tie", tie, tieWant},
+		{"tie-unsorted", unsorted, tieWant},
+		{"self-loop-dropped", mustBuild(t, 3, loop, BuildOptions{Symmetrize: true}), []int32{-1, -1, -1}},
+		{"self-loop-kept", mustBuild(t, 3, loop, BuildOptions{Symmetrize: true, KeepSelfLoops: true}), []int32{-1, -1, -1}},
+		{"read-back", readBack, randomWant},
+		{"reordered", reordered, randomWant},
+	}
+	for _, tc := range cases {
+		checkHubs(t, tc.name, tc.g, tc.want)
+	}
 }

@@ -132,7 +132,7 @@ func hotSum(xs []int) int {
 func goodSuppressed(prefix []int64, xs []int64) {
 	parallelGrains(len(xs), 64, 4, func(worker, start, end int) {
 		qi := search(len(prefix), func(i int) bool { return prefix[i] > int64(start) }) //lint:alloc-ok one predicate closure per grain, amortized over the chunk
-		scratch := make([]int64, 0, 8)                                                 //lint:alloc-ok per-grain scratch, not per-edge; grain size >= 64
+		scratch := make([]int64, 0, 8)                                                  //lint:alloc-ok per-grain scratch, not per-edge; grain size >= 64
 		for _, x := range xs[start:end] {
 			if int(x) > qi {
 				scratch = append(scratch, x)

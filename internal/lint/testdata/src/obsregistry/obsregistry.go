@@ -11,8 +11,8 @@ type Registry struct{}
 // Family is one labeled metric family.
 type Family struct{}
 
-func (r *Registry) Counter(name, help string, labels ...string) *Family   { return &Family{} }
-func (r *Registry) Gauge(name, help string, labels ...string) *Family     { return &Family{} }
+func (r *Registry) Counter(name, help string, labels ...string) *Family { return &Family{} }
+func (r *Registry) Gauge(name, help string, labels ...string) *Family   { return &Family{} }
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Family {
 	return &Family{}
 }

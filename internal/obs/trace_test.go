@@ -228,15 +228,15 @@ func TestTraceWriterEmptyClose(t *testing.T) {
 
 func TestValidateTraceRejects(t *testing.T) {
 	cases := map[string]string{
-		"not json":         `{]`,
-		"no traceEvents":   `{"foo": []}`,
-		"missing name":     `{"traceEvents":[{"ph":"i","ts":0,"pid":1,"tid":1}]}`,
-		"unknown phase":    `{"traceEvents":[{"name":"x","ph":"Q","ts":0,"pid":1,"tid":1}]}`,
-		"missing ts":       `{"traceEvents":[{"name":"x","ph":"i","pid":1,"tid":1}]}`,
-		"missing pid":      `{"traceEvents":[{"name":"x","ph":"i","ts":0,"tid":1}]}`,
-		"X without dur":    `{"traceEvents":[{"name":"x","ph":"X","ts":0,"pid":1,"tid":1}]}`,
-		"level bad dir":    `{"traceEvents":[{"name":"x","cat":"level","ph":"X","ts":0,"dur":1,"pid":1,"tid":1,"args":{"step":1,"dir":"sideways"}}]}`,
-		"level no step":    `{"traceEvents":[{"name":"x","cat":"level","ph":"X","ts":0,"dur":1,"pid":1,"tid":1,"args":{"dir":"TD"}}]}`,
+		"not json":           `{]`,
+		"no traceEvents":     `{"foo": []}`,
+		"missing name":       `{"traceEvents":[{"ph":"i","ts":0,"pid":1,"tid":1}]}`,
+		"unknown phase":      `{"traceEvents":[{"name":"x","ph":"Q","ts":0,"pid":1,"tid":1}]}`,
+		"missing ts":         `{"traceEvents":[{"name":"x","ph":"i","pid":1,"tid":1}]}`,
+		"missing pid":        `{"traceEvents":[{"name":"x","ph":"i","ts":0,"tid":1}]}`,
+		"X without dur":      `{"traceEvents":[{"name":"x","ph":"X","ts":0,"pid":1,"tid":1}]}`,
+		"level bad dir":      `{"traceEvents":[{"name":"x","cat":"level","ph":"X","ts":0,"dur":1,"pid":1,"tid":1,"args":{"step":1,"dir":"sideways"}}]}`,
+		"level no step":      `{"traceEvents":[{"name":"x","cat":"level","ph":"X","ts":0,"dur":1,"pid":1,"tid":1,"args":{"dir":"TD"}}]}`,
 		"handoff no bytes":   `{"traceEvents":[{"name":"x","cat":"handoff","ph":"X","ts":0,"dur":1,"pid":2,"tid":1,"args":{}}]}`,
 		"exchange no bytes":  `{"traceEvents":[{"name":"x","cat":"exchange","ph":"X","ts":0,"dur":1,"pid":1,"tid":1,"args":{"rank":0}}]}`,
 		"exchange no rank":   `{"traceEvents":[{"name":"x","cat":"exchange","ph":"X","ts":0,"dur":1,"pid":1,"tid":1,"args":{"bytes":8}}]}`,
