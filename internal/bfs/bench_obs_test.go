@@ -73,11 +73,13 @@ func BenchmarkRunManyRecorderOverhead(b *testing.B) {
 // Per-kernel × per-scale MTEPS for the perf-regression trajectory:
 // the paper's Fig. 4 / Table IV claims rest on these kernels, so
 // BENCH_<n>.json tracks each one at two scales. hybrid-w2 pins two
-// workers, so the parallelGrains fan-out runs even at GOMAXPROCS=1;
-// there it records fan-out cost and allocations, not speed-up. A
-// 128×128 lattice has no isolated vertex, so bottomup/lattice128
-// records the cost of bottom-up's non-isolated mask where it skips
-// nothing.
+// workers, so the levels big enough to fan out do so even at
+// GOMAXPROCS=1; there it records fan-out cost and allocations, not
+// speed-up. A 128×128 lattice has no isolated vertex, so
+// bottomup/lattice128 records the cost of bottom-up's non-isolated
+// mask where it skips nothing; hybrid/lattice128 and
+// hybrid-w2/lattice128 record the long-diameter case, hundreds of
+// small levels, at one worker and at two.
 func BenchmarkKernelScales(b *testing.B) {
 	kernels := []struct {
 		name string
@@ -95,7 +97,10 @@ func BenchmarkKernelScales(b *testing.B) {
 			benchKernel(b, fmt.Sprintf("%s/scale%d", k.name, scale), k.eng, g, src)
 		}
 	}
-	benchKernel(b, "bottomup/lattice128", BottomUpEngine(0), latticeGraph(b, 128), 0)
+	lattice := latticeGraph(b, 128)
+	benchKernel(b, "bottomup/lattice128", BottomUpEngine(0), lattice, 0)
+	benchKernel(b, "hybrid/lattice128", HybridEngine(DefaultM, DefaultN, 0), lattice, 0)
+	benchKernel(b, "hybrid-w2/lattice128", HybridEngine(DefaultM, DefaultN, 2), lattice, 0)
 }
 
 // benchKernel times eng from src on g through one reused workspace.

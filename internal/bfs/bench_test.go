@@ -114,8 +114,14 @@ func BenchmarkRunReuseWorkspace(b *testing.B) {
 
 // BenchmarkRunMany64Roots measures the batched multi-root path: 64
 // search keys (the Graph 500 default) through pooled workspaces with
-// concurrent roots.
-func BenchmarkRunMany64Roots(b *testing.B) {
+// concurrent roots. BenchmarkRunMany64RootsW2 runs each traversal at
+// two workers, so its big levels fan out even at GOMAXPROCS=1.
+func BenchmarkRunMany64Roots(b *testing.B) { benchRunMany64(b, ManyOptions{}) }
+func BenchmarkRunMany64RootsW2(b *testing.B) {
+	benchRunMany64(b, ManyOptions{Engine: HybridEngine(DefaultM, DefaultN, 2)})
+}
+
+func benchRunMany64(b *testing.B, opts ManyOptions) {
 	g, _ := benchGraph(b)
 	var roots []int32
 	stride := g.NumVertices()/64 + 1
@@ -135,7 +141,7 @@ func BenchmarkRunMany64Roots(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		edges.Store(0)
-		err := RunManyFunc(g, roots, ManyOptions{}, func(_ int, _ int32, r *Result) error {
+		err := RunManyFunc(g, roots, opts, func(_ int, _ int32, r *Result) error {
 			edges.Add(r.TraversedEdges)
 			return nil
 		})

@@ -3,7 +3,6 @@ package bfs
 import (
 	"context"
 	"math/bits"
-	"sync/atomic"
 
 	"crossbfs/internal/bitmap"
 	"crossbfs/internal/graph"
@@ -14,53 +13,58 @@ import (
 // It must stay a multiple of 64 so every grain owns whole bitmap words.
 const buGrain = 4096
 
-// levelTotals holds one parallel level's sums across workers in one
-// object, so a fan-out captures a single allocation for all of them.
-type levelTotals struct {
-	found, scans, degrees atomic.Int64
-}
-
 // bottomUpLevel expands one level in the bottom-up direction: every
 // unvisited vertex looks among its neighbors for a member of the
 // current frontier and adopts the first one it finds as parent (paper
 // Algorithm 2, lines 7-12, including the early-exit "break"). front is
 // the current frontier as a bitmap; next receives the new frontier
-// (every word is overwritten, so it need not arrive cleared). Returns
-// the number of vertices discovered, the number of adjacency entries
-// tested (see bottomUpRange), and the degree sum of the discovered
-// vertices, which is the next level's |E|cq.
+// (every word is overwritten, so it need not arrive cleared), and
+// unvisited counts the vertices without a level. Returns the number of
+// vertices discovered, the number of adjacency entries tested (see
+// bottomUpRange), and the degree sum of the discovered vertices, which
+// is the next level's |E|cq.
+//
+// The level sizes its own fan-out from the vertices it will walk:
+// unvisited vertices that have an edge. It fans out to at most one
+// worker per buGrain of them and runs bottomUpRange over the whole
+// range inline when they fit in one. Each vertex's result comes from
+// its own probe and scan, so parents, scans and counts are the same
+// whichever way the level runs.
 //
 // Cancellation is observed at grain boundaries (see parallelGrains);
 // on error the counts are meaningless and the caller must abandon the
 // traversal.
-func bottomUpLevel(ctx context.Context, g *graph.CSR, r *Result, visited, front, next *bitmap.Bitmap, level int32, workers int) (found, scans, degrees int64, err error) {
+func bottomUpLevel(ctx context.Context, g *graph.CSR, r *Result, visited, front, next *bitmap.Bitmap, level int32, unvisited int64, workers int, ws *Workspace) (found, scans, degrees int64, err error) {
 	n := g.NumVertices()
-	live := g.NonIsolated()
-	hub, hasHub := g.Hubs()
-	if resolveWorkers(workers, (n+buGrain-1)/buGrain) == 1 {
-		found, scans, degrees = bottomUpRange(g, r, visited, front, next, live, hub, hasHub, level, 0, n)
+	f := &ws.fan
+	walked := max(unvisited-int64(g.NumIsolated()), 0)
+	nworkers := resolveWorkers(workers, int((walked+buGrain-1)/buGrain))
+	if nworkers == 1 {
+		f.ranInline()
+		found, scans, degrees = bottomUpRange(g, r, visited, front, next, level, 0, n)
 		return found, scans, degrees, nil
 	}
-	var t levelTotals
-	err = parallelGrains(ctx, n, buGrain, workers, func(_, start, end int) {
-		f, s, d := bottomUpRange(g, r, visited, front, next, live, hub, hasHub, level, start, end)
-		t.found.Add(f)
-		t.scans.Add(s)
-		t.degrees.Add(d)
+	a := f.prepare(g, r, level)
+	a.visited, a.front, a.next = visited, front, next
+	err = f.parallelGrains(ctx, n, buGrain, nworkers, func(a *levelArgs, _, start, end int) {
+		nf, ns, nd := bottomUpRange(a.g, a.r, a.visited, a.front, a.next, a.level, start, end)
+		a.found.Add(nf)
+		a.scans.Add(ns)
+		a.degrees.Add(nd)
 	})
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	return t.found.Load(), t.scans.Load(), t.degrees.Load(), nil
+	return a.found.Load(), a.scans.Load(), a.degrees.Load(), nil
 }
 
 // bottomUpRange runs the bottom-up step over vertices [start, end). It
 // walks visited a 64-bit word at a time, visits only the bits that are
-// unvisited and set in live (g.NonIsolated()), and builds each next
+// unvisited and set in g.NonIsolated(), and builds each next
 // word in a register that it stores once. A vertex without edges can
 // never be discovered, so leaving it out of the walk changes no result
-// or count; live has no bits at or beyond |V|, which masks the tail
-// word.
+// or count; the mask has no bits at or beyond |V|, which masks the
+// tail word.
 //
 // Each word runs in two phases. The probe tests the frontier bit of
 // hub[v] (g.Hubs()) for every walked vertex whose hasHub bit is set,
@@ -79,7 +83,9 @@ func bottomUpLevel(ctx context.Context, g *graph.CSR, r *Result, visited, front,
 // when it has none. The hub is one of v's entries, so a missed probe
 // and the scan can test the same entry twice. ComputeTrace counts the
 // paper kernel's CSR-order scans alone.
-func bottomUpRange(g *graph.CSR, r *Result, visited, front, next *bitmap.Bitmap, live []uint64, hub []int32, hasHub []uint64, level int32, start, end int) (found, scans, degrees int64) {
+func bottomUpRange(g *graph.CSR, r *Result, visited, front, next *bitmap.Bitmap, level int32, start, end int) (found, scans, degrees int64) {
+	live := g.NonIsolated()
+	hub, hasHub := g.Hubs()
 	seen, frontier := visited.Words(), front.Words()
 	offsets, adj := g.Offsets, g.Adj
 	parent, levels := r.Parent, r.Level

@@ -221,7 +221,7 @@ func TestPolicyPanicContained(t *testing.T) {
 func TestParallelGrainsWorkerPanic(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for _, workers := range []int{1, 4} {
-		err := parallelGrains(context.Background(), 1000, 16, workers, func(_, start, _ int) {
+		err := new(fanout).parallelGrains(context.Background(), 1000, 16, workers, func(_ *levelArgs, _, start, _ int) {
 			if start >= 500 {
 				panic(fmt.Sprintf("grain kaboom at %d", start))
 			}
@@ -234,6 +234,30 @@ func TestParallelGrainsWorkerPanic(t *testing.T) {
 	}
 }
 
+// TestParallelGrainsFirstCauseWins has both workers of a fan-out
+// panic, the second only after the first panic has stopped the
+// fan-out: the error must carry the first panic's value.
+func TestParallelGrainsFirstCauseWins(t *testing.T) {
+	f := new(fanout)
+	var calls atomic.Int64
+	err := f.parallelGrains(context.Background(), 2, 1, 2, func(_ *levelArgs, _, _, _ int) {
+		if calls.Add(1) == 1 {
+			for calls.Load() < 2 { // both workers are inside a grain
+				runtime.Gosched()
+			}
+			panic("first")
+		}
+		for !f.stop.Load() {
+			runtime.Gosched()
+		}
+		panic("second")
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "first" {
+		t.Fatalf("err = %v, want the first panic", err)
+	}
+}
+
 // TestParallelGrainsCancelStopsClaims checks the grain-boundary
 // cancellation point: after cancel, workers stop claiming new grains.
 func TestParallelGrainsCancelStopsClaims(t *testing.T) {
@@ -241,7 +265,7 @@ func TestParallelGrainsCancelStopsClaims(t *testing.T) {
 	// is never run.
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
-	err := parallelGrains(ctx, 1000, 10, 1, func(_, _, _ int) {
+	err := new(fanout).parallelGrains(ctx, 1000, 10, 1, func(_ *levelArgs, _, _, _ int) {
 		if calls.Add(1) == 1 {
 			cancel()
 		}
@@ -254,20 +278,23 @@ func TestParallelGrainsCancelStopsClaims(t *testing.T) {
 	}
 
 	// Multi worker: each in-flight worker may finish its current grain,
-	// but the bulk of the range must be abandoned.
+	// but none may claim another. No grain returns before the cancel
+	// has closed Done, so the bound does not depend on how long the
+	// cancelling worker takes inside cancel2 while the others run.
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	const totalGrains = 100000 / 16
+	const totalGrains, workers = 100000 / 16, 8
 	var calls2 atomic.Int64
-	err = parallelGrains(ctx2, 100000, 16, 8, func(_, _, _ int) {
+	err = new(fanout).parallelGrains(ctx2, 100000, 16, workers, func(_ *levelArgs, _, _, _ int) {
 		if calls2.Add(1) == 1 {
 			cancel2()
 		}
+		<-ctx2.Done()
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("workers=8: err = %v, want context.Canceled", err)
 	}
-	if n := calls2.Load(); n > totalGrains/2 {
-		t.Fatalf("workers=8: %d of %d grains ran after early cancel", n, totalGrains)
+	if n := calls2.Load(); n > workers {
+		t.Fatalf("workers=8: %d of %d grains ran after early cancel, want at most one per worker", n, totalGrains)
 	}
 }
 

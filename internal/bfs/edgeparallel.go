@@ -2,7 +2,6 @@ package bfs
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"crossbfs/internal/bitmap"
@@ -25,10 +24,12 @@ const epGrain = 2048
 // topDownLevelEdgeParallel expands one level top-down with
 // edge-parallel work division. Semantics match topDownLevel, except
 // that the second result is the frontier's own |E|cq: the last entry of
-// the degree prefix sum the kernel builds anyway. The prefix-sum and
-// shard buffers come from ws so the level loop stops allocating once
-// the traversal warms up. Cancellation is observed at grain boundaries;
-// on error the traversal must be abandoned.
+// the degree prefix sum the kernel builds anyway. It sizes its fan-out
+// as topDownLevel does, from epGrain edge ranges and tdWorkerEdges
+// edges per worker, and runs topDownLevelSerial inline below that. The
+// prefix-sum and shard buffers come from ws so the level loop stops
+// allocating once the traversal warms up. Cancellation is observed at
+// grain boundaries; on error the traversal must be abandoned.
 func topDownLevelEdgeParallel(ctx context.Context, g *graph.CSR, r *Result, visited *bitmap.Bitmap, queue, out []int32, level int32, workers int, ws *Workspace) ([]int32, int64, error) {
 	// Degree prefix sum over the frontier.
 	prefix := ws.prefixBuf(len(queue) + 1)
@@ -37,39 +38,49 @@ func topDownLevelEdgeParallel(ctx context.Context, g *graph.CSR, r *Result, visi
 		prefix[i+1] = prefix[i] + g.Degree(v)
 	}
 	totalEdges := prefix[len(queue)]
-	if totalEdges == 0 {
-		return out, 0, nil
-	}
-	nworkers := resolveWorkers(workers, int(totalEdges/epGrain)+1)
+	f := &ws.fan
+	grains := (totalEdges + epGrain - 1) / epGrain
+	nworkers := resolveWorkers(workers, int(min(grains, totalEdges/tdWorkerEdges)))
 	if nworkers == 1 {
+		f.ranInline()
 		next, _ := topDownLevelSerial(g, r, visited, queue, out, level)
 		return next, totalEdges, nil
 	}
 
 	locals := ws.workerShards(nworkers)
-	err := parallelGrains(ctx, int(totalEdges), epGrain, nworkers, func(worker, start, end int) {
-		local := locals[worker]
-		// First frontier vertex whose edge range intersects [start, end).
-		//lint:alloc-ok one predicate closure per grain, amortised over the grain's whole edge range
-		qi := sort.Search(len(queue), func(i int) bool { return prefix[i+1] > int64(start) })
-		for pos := int64(start); pos < int64(end) && qi < len(queue); {
+	a := f.prepare(g, r, level)
+	a.visited, a.queue, a.prefix, a.locals = visited, queue, prefix, locals
+	err := f.parallelGrains(ctx, int(totalEdges), epGrain, nworkers, func(a *levelArgs, worker, start, end int) {
+		g, visited, queue, prefix := a.g, a.visited, a.queue, a.prefix
+		local := a.locals[worker]
+		// First frontier vertex whose edge range intersects [start, end):
+		// the smallest qi with prefix[qi+1] > start.
+		lo, hi := 0, len(queue)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if prefix[mid+1] > int64(start) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		for pos, qi := int64(start), lo; pos < int64(end) && qi < len(queue); qi++ {
 			u := queue[qi]
 			adjStart := g.Offsets[u] + (pos - prefix[qi])
-			adjEnd := g.Offsets[u] + (min64(int64(end), prefix[qi+1]) - prefix[qi])
+			adjEnd := g.Offsets[u] + (min(int64(end), prefix[qi+1]) - prefix[qi])
 			for _, v := range g.Adj[adjStart:adjEnd] {
 				if visited.GetAtomic(int(v)) {
 					continue
 				}
 				if visited.SetAtomic(int(v)) {
-					r.Parent[v] = u
-					r.Level[v] = level
+					a.r.Parent[v] = u
+					a.r.Level[v] = a.level
 					local = append(local, v)
 				}
 			}
 			pos = prefix[qi+1]
-			qi++
 		}
-		locals[worker] = local
+		a.locals[worker] = local
 	})
 	if err != nil {
 		return nil, 0, err
@@ -79,13 +90,6 @@ func topDownLevelEdgeParallel(ctx context.Context, g *graph.CSR, r *Result, visi
 		out = append(out, l...)
 	}
 	return out, totalEdges, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // edgeParallelEngine is the edge-parallel top-down kernel as an Engine.
@@ -110,9 +114,10 @@ func (e edgeParallelEngine) RunContext(ctx context.Context, g *graph.CSR, source
 	return e.RunObserved(ctx, g, source, ws, nil)
 }
 
-// RunObserved implements Engine. The level events report the
-// edge-space scheduling inputs: grains count epGrain-sized edge
-// ranges, not frontier blocks.
+// RunObserved implements Engine. The level events report what the
+// dispatcher ran: a fan-out's grains count epGrain-sized edge ranges,
+// not frontier blocks, and an inline level reports one grain on one
+// worker.
 func (e edgeParallelEngine) RunObserved(ctx context.Context, g *graph.CSR, source int32, ws *Workspace, rec obs.Recorder) (_ *Result, err error) {
 	var (
 		o    tobs
@@ -149,16 +154,14 @@ func (e edgeParallelEngine) RunObserved(ctx context.Context, g *graph.CSR, sourc
 		}
 		r.TraversedEdges += fe
 		if o.live {
-			grains := fe/epGrain + 1
-			nworkers := resolveWorkers(e.workers, int(grains))
 			o.event(obs.Event{
 				Kind: obs.KindLevel, Step: level, Dir: obs.TopDown,
 				FrontierVertices: int64(len(queue)),
 				FrontierEdges:    fe,
 				Discovered:       int64(len(out)),
 				Unvisited:        unvisited,
-				Grains:           grains,
-				Workers:          int32(nworkers),
+				Grains:           ws.fan.grains,
+				Workers:          int32(ws.fan.workers),
 				Wall:             stepStart,
 				WallDur:          time.Since(stepStart),
 			})

@@ -12,6 +12,9 @@ func TestEdgeParallelMatchesSerial(t *testing.T) {
 		"star":   starGraph(t, 500), // one hub: the case this kernel exists for
 		"rmat10": testRMAT(t, 10, 16, 1),
 		"rmat9":  testRMAT(t, 9, 8, 4),
+		// A hub with enough edges for two workers, so the hub's list is
+		// split across them.
+		"bigstar": starGraph(t, 3*tdWorkerEdges),
 	}
 	for name, g := range graphs {
 		var src int32

@@ -86,31 +86,3 @@ func (o *tobs) end(r *Result, err error) {
 	}
 	o.rec.Event(e)
 }
-
-// stepSchedule reproduces the kernels' dispatch arithmetic for
-// telemetry: how many grain blocks one level splits into and how many
-// workers the scheduler runs them on. It is kept in lockstep with
-// topDownLevel/bottomUpLevel (same resolveWorkers inputs, same grain
-// constants) instead of being threaded out of them, so the kernels'
-// hot signatures stay untouched; a serial fallback reports one grain
-// on one worker.
-func stepSchedule(dir Direction, frontierVertices, totalVertices int64, requested int) (grains int64, workers int) {
-	switch dir {
-	case BottomUp:
-		n := int(totalVertices)
-		blocks := (n + buGrain - 1) / buGrain
-		w := resolveWorkers(requested, blocks)
-		if w == 1 {
-			return 1, 1
-		}
-		return int64(blocks), w
-	default:
-		items := int(frontierVertices)
-		w := resolveWorkers(requested, items)
-		if w == 1 {
-			return 1, 1
-		}
-		blocks := (items + tdGrain - 1) / tdGrain
-		return int64(blocks), resolveWorkers(w, blocks)
-	}
-}

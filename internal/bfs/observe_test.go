@@ -36,26 +36,30 @@ func firstUsableB(tb testing.TB, g *graph.CSR) int32 {
 // TestRunAllocsNopRecorder extends the steady-state allocation gate to
 // the telemetry seam: threading an explicit obs.Nop recorder through
 // RunWithContext must stay as alloc-free as passing no recorder at
-// all. This is the contract OBSERVABILITY.md promises — the default
-// path pays for observability only when a live recorder is attached.
+// all, at one worker and at two. This is the contract
+// OBSERVABILITY.md promises — the default path pays for observability
+// only when a live recorder is attached.
 func TestRunAllocsNopRecorder(t *testing.T) {
 	if testing.Short() {
-		t.Skip("allocation measurement on a scale-12 graph")
+		t.Skip("allocation measurement on scale-12 and scale-14 graphs")
 	}
-	g := testRMAT(t, 12, 8, 7)
-	src := firstUsable(t, g)
-	opts := Options{Policy: MN{M: 64, N: 64}, Workers: 1, Recorder: obs.Nop, Label: "gate"}
-	ws := NewWorkspace(g.NumVertices())
 	ctx := context.Background()
-	run := func() {
-		if _, err := RunWithContext(ctx, g, src, opts, ws); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warmup: grow queues and shards to this graph's working set
-	run()
-	if allocs := testing.AllocsPerRun(5, run); allocs > 4 {
-		t.Errorf("traversal with Nop recorder allocates %.0f objects/run after warmup; want ~0", allocs)
+	for _, c := range allocCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			opts := c.opts
+			opts.Recorder, opts.Label = obs.Nop, "gate"
+			ws := NewWorkspace(c.g.NumVertices())
+			run := func() {
+				if _, err := RunWithContext(ctx, c.g, c.src, opts, ws); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warmup: grow queues, shards and worker starts to this graph's working set
+			run()
+			if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+				t.Errorf("traversal with Nop recorder allocates %.0f objects/run after warmup; want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -67,16 +71,18 @@ func (c *countRecorder) Event(obs.Event) { c.n++ }
 
 // BenchmarkRunNopRecorder and BenchmarkRunLiveRecorder bracket the
 // cost of the telemetry seam on a pooled hybrid traversal: the Nop
-// variant must report 0 allocs/op, and the live variant shows what a
+// variants must report 0 allocs/op, and the live variant shows what a
 // minimal recorder costs (event construction + interface call per
-// level).
-func BenchmarkRunNopRecorder(b *testing.B)  { benchRecorder(b, obs.Nop) }
-func BenchmarkRunLiveRecorder(b *testing.B) { benchRecorder(b, &countRecorder{}) }
+// level). BenchmarkRunNopRecorderW2 pins two workers, so its widest
+// bottom-up level fans out even at GOMAXPROCS=1.
+func BenchmarkRunNopRecorder(b *testing.B)   { benchRecorder(b, obs.Nop, 1) }
+func BenchmarkRunNopRecorderW2(b *testing.B) { benchRecorder(b, obs.Nop, 2) }
+func BenchmarkRunLiveRecorder(b *testing.B)  { benchRecorder(b, &countRecorder{}, 1) }
 
-func benchRecorder(b *testing.B, rec obs.Recorder) {
+func benchRecorder(b *testing.B, rec obs.Recorder, workers int) {
 	g := benchRMAT(b, 14, 8, 7)
 	src := firstUsableB(b, g)
-	opts := Options{Policy: MN{M: 64, N: 64}, Workers: 1, Recorder: rec, Label: "bench"}
+	opts := Options{Policy: MN{M: 64, N: 64}, Workers: workers, Recorder: rec, Label: "bench"}
 	ws := NewWorkspace(g.NumVertices())
 	ctx := context.Background()
 	// Warmup grows the workspace queues to this graph's working set so

@@ -39,7 +39,7 @@ func TestResolveWorkers(t *testing.T) {
 func coverageOf(n, grain, workers int) (counts []int32, calls int64) {
 	counts = make([]int32, max(n, 0))
 	var callCount atomic.Int64
-	parallelGrains(context.Background(), n, grain, workers, func(worker, start, end int) {
+	new(fanout).parallelGrains(context.Background(), n, grain, workers, func(_ *levelArgs, worker, start, end int) {
 		callCount.Add(1)
 		for i := start; i < end; i++ {
 			atomic.AddInt32(&counts[i], 1)
@@ -87,7 +87,7 @@ func TestParallelGrainsSingleWorkerInOrder(t *testing.T) {
 	// the range grain by grain — each grain boundary is a cancellation
 	// point — in ascending order on worker 0.
 	var calls []([3]int)
-	if err := parallelGrains(context.Background(), 50, 8, 1, func(worker, start, end int) {
+	if err := new(fanout).parallelGrains(context.Background(), 50, 8, 1, func(_ *levelArgs, worker, start, end int) {
 		calls = append(calls, [3]int{worker, start, end})
 	}); err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestParallelGrainsWorkerIDsInRange(t *testing.T) {
 	// stay within [0, effective workers).
 	const n, grain, workers = 1000, 7, 5
 	var bad atomic.Int32
-	parallelGrains(context.Background(), n, grain, workers, func(worker, start, end int) {
+	new(fanout).parallelGrains(context.Background(), n, grain, workers, func(_ *levelArgs, worker, start, end int) {
 		if worker < 0 || worker >= workers {
 			bad.Add(1)
 		}
@@ -130,7 +130,7 @@ func TestParallelGrainsSharedCounterStress(t *testing.T) {
 		touched := make([]int32, n)
 		var mu sync.Mutex
 		order := 0
-		parallelGrains(context.Background(), n, 64, workers, func(worker, start, end int) {
+		new(fanout).parallelGrains(context.Background(), n, 64, workers, func(_ *levelArgs, worker, start, end int) {
 			shared.Add(int64(end - start))
 			for i := start; i < end; i++ {
 				touched[i]++ // safe without atomics iff grains are disjoint

@@ -111,8 +111,11 @@ func (p MN) Validate() error {
 type Options struct {
 	// Policy picks the direction per step. nil means AlwaysTopDown.
 	Policy Policy
-	// Workers is the parallelism level; 0 means GOMAXPROCS, 1 forces
-	// the serial kernels.
+	// Workers is the most workers a level fans out to; 0 means
+	// GOMAXPROCS, 1 forces the serial kernels. Each level sizes its
+	// own fan-out from its work (frontier edges top-down, unvisited
+	// vertices with an edge bottom-up) and runs its serial kernel
+	// inline when that work spans one grain.
 	Workers int
 	// CheckInvariants enables the runtime verification layer
 	// (internal/invariant): per-step frontier/visited coherence checks
@@ -263,7 +266,7 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 				queue = front.AppendSet(queue[:0])
 				queueValid = true
 			}
-			out, degrees, err := topDownLevel(ctx, g, r, visited, queue, spare[:0], level, opts.Workers, ws)
+			out, degrees, err := topDownLevel(ctx, g, r, visited, queue, spare[:0], level, frontierEdges, opts.Workers, ws)
 			if err != nil {
 				return nil, err
 			}
@@ -283,7 +286,7 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 				}
 			}
 			var err error
-			foundCount, scanCount, nextEdges, err = bottomUpLevel(ctx, g, r, visited, front, next, level, opts.Workers)
+			foundCount, scanCount, nextEdges, err = bottomUpLevel(ctx, g, r, visited, front, next, level, unvisited, opts.Workers, ws)
 			if err != nil {
 				return nil, err
 			}
@@ -303,7 +306,6 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 		r.Directions = append(r.Directions, dir)
 		r.StepScans = append(r.StepScans, scanCount)
 		if o.live {
-			grains, nworkers := stepSchedule(dir, frontierVertices, int64(n), opts.Workers)
 			o.event(obs.Event{
 				Kind: obs.KindLevel, Step: level, Dir: obs.Direction(dir),
 				FrontierVertices: info.FrontierVertices,
@@ -311,8 +313,8 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 				Discovered:       foundCount,
 				Unvisited:        info.UnvisitedVertices,
 				Scans:            scanCount,
-				Grains:           grains,
-				Workers:          int32(nworkers),
+				Grains:           ws.fan.grains,
+				Workers:          int32(ws.fan.workers),
 				Wall:             stepStart,
 				WallDur:          time.Since(stepStart),
 			})

@@ -12,11 +12,15 @@ import (
 // the result's parent/level maps, the direction and scan logs, both
 // frontier queues, the per-worker output shards of the parallel
 // top-down kernels, the edge-parallel degree prefix sum, and the
-// visited/frontier/next bitmaps. Reusing one Workspace across
-// traversals turns the entire working set into a reset, not a
-// reallocation — the first-order optimization for repeated-traversal
-// workloads (the Graph 500 64-root runner, the tuner's labelling
-// sweep), where buffer lifecycle, not kernel arithmetic, dominates.
+// visited/frontier/next bitmaps. It also owns the level dispatch
+// state (fanout): the scheduler, the kernel arguments and per-level
+// totals that a fan-out's workers share, the per-worker start
+// functions, and what the last level ran, so a fan-out allocates
+// nothing. Reusing one Workspace across traversals turns the entire
+// working set into a reset, not a reallocation — the first-order
+// optimization for repeated-traversal workloads (the Graph 500
+// 64-root runner, the tuner's labelling sweep), where buffer
+// lifecycle, not kernel arithmetic, dominates.
 //
 // Ownership rules:
 //
@@ -31,6 +35,9 @@ import (
 //     that need the maps afterwards must Clone the result first.
 //   - A Workspace is not safe for concurrent use; concurrent roots
 //     need one workspace each (RunMany handles this via its pool).
+//   - No goroutine outlives a level: a fan-out's workers have all
+//     exited when it returns, so a workspace that its pool drops takes
+//     no goroutine with it.
 type Workspace struct {
 	// Result storage lent to the current traversal.
 	result     Result
@@ -58,6 +65,9 @@ type Workspace struct {
 	visited *bitmap.Bitmap
 	front   *bitmap.Bitmap
 	next    *bitmap.Bitmap
+
+	// fan dispatches each level: inline, or fanned out over workers.
+	fan fanout
 }
 
 // NewWorkspace returns a workspace prepared for graphs of up to n

@@ -158,42 +158,87 @@ func TestWorkspacePoolSizeClasses(t *testing.T) {
 	}
 }
 
+// allocCase is one steady-state allocation gate: a traversal through a
+// reused workspace that must allocate nothing after warmup. fansOut
+// marks the cases that must reach a multi-worker fan-out, so the gate
+// covers the fan-out and not only the inline levels.
+type allocCase struct {
+	name    string
+	g       *graph.CSR
+	src     int32
+	opts    Options
+	fansOut bool
+}
+
+// allocCases returns the gates' traversals: the SCALE-12 R-MAT hybrid
+// at one worker and at an explicit two (testing.AllocsPerRun pins
+// GOMAXPROCS to 1, but explicit workers still fan out), the 128×128
+// lattice's long-diameter hybrid at two, and two traversals whose
+// bottom-up levels do fan out at two: the lattice under pure
+// bottom-up, and a SCALE-14 R-MAT hybrid.
+func allocCases(t *testing.T) []allocCase {
+	t.Helper()
+	rmat12 := testRMAT(t, 12, 8, 7)
+	rmat14 := testRMAT(t, 14, 8, 7)
+	lattice := latticeGraph(t, 128)
+	hybrid := MN{M: DefaultM, N: DefaultN}
+	return []allocCase{
+		{"rmat12/w1", rmat12, firstUsable(t, rmat12), Options{Policy: hybrid, Workers: 1}, false},
+		{"rmat12/w2", rmat12, firstUsable(t, rmat12), Options{Policy: hybrid, Workers: 2}, false},
+		{"lattice128/w2", lattice, 0, Options{Policy: hybrid, Workers: 2}, false},
+		{"lattice128-bottomup/w2", lattice, 0, Options{Policy: AlwaysBottomUp, Workers: 2}, true},
+		{"rmat14/w2", rmat14, firstUsable(t, rmat14), Options{Policy: hybrid, Workers: 2}, true},
+	}
+}
+
+// checkFansOut fails the test unless a traversal of c fans some level
+// out over more than one worker.
+func checkFansOut(t *testing.T, c allocCase) {
+	t.Helper()
+	widest := int32(0)
+	for _, e := range levelEvents(t, c.g, c.src, c.opts) {
+		widest = max(widest, e.Workers)
+	}
+	if widest < 2 {
+		t.Fatalf("%s: no level fanned out (widest ran %d worker); the gate would not cover the fan-out", c.name, widest)
+	}
+}
+
 // TestRunAllocsSteadyState is the acceptance gate for pooling: after
-// warmup, a hybrid traversal of the SCALE-12 R-MAT graph through a
-// reused workspace must allocate ~nothing — at least a 95% reduction
-// against the fresh-buffers path.
+// warmup, a traversal through a reused workspace must allocate
+// nothing, fan-outs included, against at least 5 objects on the
+// fresh-buffers path.
 func TestRunAllocsSteadyState(t *testing.T) {
 	if testing.Short() {
-		t.Skip("allocation measurement on a scale-12 graph")
+		t.Skip("allocation measurement on scale-12 and scale-14 graphs")
 	}
-	g := testRMAT(t, 12, 8, 7)
-	src := firstUsable(t, g)
-	// Workers: 1 keeps the kernels on their serial paths;
-	// testing.AllocsPerRun pins GOMAXPROCS to 1 anyway.
-	opts := Options{Policy: MN{M: 64, N: 64}, Workers: 1}
-	ws := NewWorkspace(g.NumVertices())
-	run := func() {
-		if _, err := RunWith(g, src, opts, ws); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warmup: grow queues and shards to this graph's working set
-	run()
+	for _, c := range allocCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			if c.fansOut {
+				checkFansOut(t, c)
+			}
+			ws := NewWorkspace(c.g.NumVertices())
+			run := func() {
+				if _, err := RunWith(c.g, c.src, c.opts, ws); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warmup: grow queues, shards and worker starts to this graph's working set
+			run()
 
-	pooled := testing.AllocsPerRun(5, run)
-	unpooled := testing.AllocsPerRun(5, func() {
-		if _, err := Run(g, src, opts); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if unpooled < 5 {
-		t.Fatalf("unpooled baseline allocates only %.0f objects/run; measurement is broken", unpooled)
-	}
-	if pooled > unpooled*0.05 {
-		t.Errorf("pooled traversal allocates %.0f objects/run vs %.0f unpooled (%.1f%% — want >=95%% reduction)",
-			pooled, unpooled, 100*(1-pooled/unpooled))
-	}
-	if pooled > 4 {
-		t.Errorf("pooled traversal allocates %.0f objects/run after warmup; want ~0", pooled)
+			pooled := testing.AllocsPerRun(5, run)
+			unpooled := testing.AllocsPerRun(5, func() {
+				if _, err := Run(c.g, c.src, c.opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if unpooled < 5 {
+				t.Fatalf("unpooled baseline allocates only %.0f objects/run; measurement is broken", unpooled)
+			}
+			if pooled != 0 {
+				t.Errorf("pooled traversal allocates %.0f objects/run after warmup (%.0f unpooled); want 0",
+					pooled, unpooled)
+			}
+		})
 	}
 }

@@ -27,6 +27,7 @@ func FuzzReadFrom(f *testing.F) {
 	corrupted := append([]byte(nil), valid...)
 	corrupted[len(corrupted)-1] ^= 0xff
 	f.Add(corrupted)
+	f.Add(lyingHeader())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadFrom(bytes.NewReader(data))

@@ -11,6 +11,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -28,16 +29,17 @@ type Edge struct {
 // entries (each undirected edge appears twice after symmetrization).
 //
 // A CSR is shared by pointer and never copied by value: it caches
-// derived data under a sync.Once (see NonIsolated and Hubs). Nor is it
-// modified after construction, beyond the reorderings in reorder.go,
-// which only permute entries within each adjacency list and so keep
-// every degree and every neighbour set.
+// derived data under a sync.Once (see NonIsolated, NumIsolated and
+// Hubs). Nor is it modified after construction, beyond the reorderings
+// in reorder.go, which only permute entries within each adjacency list
+// and so keep every degree and every neighbour set.
 type CSR struct {
 	Offsets []int64
 	Adj     []int32
 
 	derivedOnce sync.Once
 	nonIsolated []uint64
+	isolated    int
 	hub         []int32
 	hasHub      []uint64
 }
@@ -69,6 +71,13 @@ func (g *CSR) NonIsolated() []uint64 {
 	return g.nonIsolated
 }
 
+// NumIsolated returns the number of vertices without an edge: |V|
+// minus the bits set in NonIsolated, counted when the mask is built.
+func (g *CSR) NumIsolated() int {
+	g.derivedOnce.Do(g.buildDerived)
+	return g.isolated
+}
+
 // Hubs returns the hub index. hub[v] is v's neighbour of largest
 // degree, ties to the smallest id, kept only if that degree is
 // strictly greater than Degree(v); otherwise hub[v] is -1. Bit v of
@@ -81,13 +90,15 @@ func (g *CSR) Hubs() (hub []int32, hasHub []uint64) {
 	return g.hub, g.hasHub
 }
 
-// buildDerived builds the non-isolated mask and the hub index in one
-// pass over the vertices, each mask word in a register stored once.
+// buildDerived builds the non-isolated mask, its isolated count and
+// the hub index in one pass over the vertices, each mask word in a
+// register stored once.
 func (g *CSR) buildDerived() {
 	n := g.NumVertices()
 	words := (n + 63) / 64
 	mask, hasHub := make([]uint64, words), make([]uint64, words)
 	hub := make([]int32, n)
+	isolated := n
 	for wi := range mask {
 		base := wi * 64
 		var live, hubbed uint64
@@ -109,8 +120,9 @@ func (g *CSR) buildDerived() {
 			}
 		}
 		mask[wi], hasHub[wi] = live, hubbed
+		isolated -= bits.OnesCount64(live)
 	}
-	g.nonIsolated, g.hub, g.hasHub = mask, hub, hasHub
+	g.nonIsolated, g.isolated, g.hub, g.hasHub = mask, isolated, hub, hasHub
 }
 
 // HasEdge reports whether the directed edge (u, v) exists, by binary

@@ -229,7 +229,8 @@ func TestValidateCatchesCorruption(t *testing.T) {
 }
 
 // checkNonIsolated checks g.NonIsolated() bit by bit: bit v is set iff
-// Degree(v) > 0, and no bit at or beyond |V| is set.
+// Degree(v) > 0, and no bit at or beyond |V| is set. g.NumIsolated()
+// must count the vertices of degree 0.
 func checkNonIsolated(t testing.TB, name string, g *CSR) {
 	t.Helper()
 	n := g.NumVertices()
@@ -237,11 +238,18 @@ func checkNonIsolated(t testing.TB, name string, g *CSR) {
 	if len(mask) != (n+63)/64 {
 		t.Fatalf("%s: %d mask words for %d vertices", name, len(mask), n)
 	}
+	isolated := 0
 	for v := 0; v < 64*len(mask); v++ {
 		set := mask[v/64]&(1<<uint(v%64)) != 0
 		if want := v < n && g.Degree(int32(v)) > 0; set != want {
 			t.Fatalf("%s: bit %d is %v, want %v (|V| = %d)", name, v, set, want, n)
 		}
+		if v < n && !set {
+			isolated++
+		}
+	}
+	if got := g.NumIsolated(); got != isolated {
+		t.Fatalf("%s: NumIsolated() = %d, want %d", name, got, isolated)
 	}
 }
 

@@ -74,20 +74,50 @@ func ReadFrom(r io.Reader) (*CSR, error) {
 	if nverts > maxReasonable || nedges > maxReasonable {
 		return nil, fmt.Errorf("graph: implausible header (%d vertices, %d edges)", nverts, nedges)
 	}
-	g := &CSR{
-		Offsets: make([]int64, nverts+1),
-		Adj:     make([]int32, nedges),
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.Offsets); err != nil {
+	g := &CSR{}
+	var err error
+	if g.Offsets, err = readInts[int64](br, nverts+1); err != nil {
 		return nil, fmt.Errorf("graph: reading offsets: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.Adj); err != nil {
+	if g.Adj, err = readInts[int32](br, nedges); err != nil {
 		return nil, fmt.Errorf("graph: reading adjacency: %w", err)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: corrupt file: %w", err)
 	}
 	return g, nil
+}
+
+// readChunk is the number of values readInts reads at a time.
+const readChunk = 1 << 16
+
+// readInts reads count little-endian values from r. The header's
+// counts are not trusted for memory: the slice starts at one chunk and
+// at most doubles as the data arrives, so a header that claims more
+// than the input holds costs memory in proportion to the bytes that
+// did arrive, and then fails with io.ErrUnexpectedEOF. Growth is
+// capped at count, so a complete slice has cap == len.
+func readInts[T int32 | int64](r io.Reader, count uint64) ([]T, error) {
+	s := make([]T, 0, min(count, readChunk))
+	for uint64(len(s)) < count {
+		k := readChunk
+		if left := count - uint64(len(s)); left < readChunk {
+			k = int(left)
+		}
+		if cap(s)-len(s) < k {
+			grown := make([]T, len(s), min(count, 2*uint64(cap(s))))
+			copy(grown, s)
+			s = grown
+		}
+		s = s[:len(s)+k]
+		if err := binary.Read(r, binary.LittleEndian, s[len(s)-k:]); err != nil {
+			if err == io.EOF && len(s) > k {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
 // Save writes the graph to path, creating or truncating it.

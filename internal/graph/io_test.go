@@ -2,7 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -115,5 +120,68 @@ func TestReadFromImplausibleHeader(t *testing.T) {
 	buf.Write(make([]byte, 8))
 	if _, err := ReadFrom(&buf); err == nil {
 		t.Error("implausible header accepted")
+	}
+}
+
+// lyingHeader is a 28-byte file whose header claims 2^33 vertices and
+// 4 edges, followed by only 4 bytes of offsets.
+func lyingHeader() []byte {
+	b := []byte("CSRGRAF1")
+	b = binary.LittleEndian.AppendUint64(b, 1<<33)
+	b = binary.LittleEndian.AppendUint64(b, 4)
+	return append(b, 0, 0, 0, 0)
+}
+
+// TestReadFromHeaderLies feeds a header whose counts the data does not
+// back. ReadFrom must fail with the truncation error, allocating in
+// proportion to the bytes that arrived rather than to the header.
+func TestReadFromHeaderLies(t *testing.T) {
+	data := lyingHeader()
+	if len(data) != 28 {
+		t.Fatalf("input is %d bytes, want 28", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrom(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "reading offsets") {
+		t.Fatalf("err = %v, want reading offsets: %v", err, io.ErrUnexpectedEOF)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+		t.Errorf("ReadFrom allocated %d bytes for a 28-byte input, want < 64 MiB", alloc)
+	}
+}
+
+// TestReadFromChunked round-trips a graph whose offsets and adjacency
+// span several read chunks, so the arrays grow while they are read:
+// the result must match, with cap == len. A cut inside the adjacency's
+// second chunk must report the truncation.
+func TestReadFromChunked(t *testing.T) {
+	n := 3*readChunk + 5
+	edges := make([]Edge, 0, n-1)
+	for v := 0; v+1 < n; v++ {
+		edges = append(edges, Edge{From: int32(v), To: int32(v + 1)})
+	}
+	g := mustBuild(t, n, edges, BuildOptions{Symmetrize: true})
+	var buf bytes.Buffer
+	if _, err := g.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	full := buf.Bytes()
+	got, err := ReadFrom(bytes.NewReader(full))
+	if err != nil {
+		t.Fatalf("ReadFrom: %v", err)
+	}
+	if !slices.Equal(got.Offsets, g.Offsets) || !slices.Equal(got.Adj, g.Adj) {
+		t.Fatal("round trip through chunked reads changed the graph")
+	}
+	if cap(got.Offsets) != len(got.Offsets) || cap(got.Adj) != len(got.Adj) {
+		t.Errorf("cap/len: offsets %d/%d, adjacency %d/%d, want equal",
+			cap(got.Offsets), len(got.Offsets), cap(got.Adj), len(got.Adj))
+	}
+	cut := 24 + 8*(n+1) + 4*(readChunk+7)
+	_, err = ReadFrom(bytes.NewReader(full[:cut]))
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "reading adjacency") {
+		t.Errorf("cut in the adjacency's second chunk: err = %v, want reading adjacency: %v", err, io.ErrUnexpectedEOF)
 	}
 }

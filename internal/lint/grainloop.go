@@ -6,10 +6,12 @@ import (
 )
 
 // GrainLoop flags parallelGrains callbacks that carry state between
-// grain invocations through captured scalars. The callback runs
-// concurrently on every worker: a captured counter updated with
-// `total += ...` or a captured flag set with `done = true` races with
-// every other worker. The safe idioms are an atomic (the kernels'
+// grain invocations through captured scalars, or through scalar fields
+// of a shared argument block (a pointer parameter, as the bfs kernels'
+// *levelArgs). The callback runs concurrently on every worker: a
+// captured counter updated with `total += ...`, a field bumped with
+// `a.total++`, or a flag set with `done = true` races with every other
+// worker. The safe idioms are an atomic (the kernels'
 // foundTotal.Add pattern), a per-worker shard reduced after the wait,
 // or — for genuinely single-threaded runners — a //lint:grain-ok
 // annotation stating why only one goroutine executes the callback.
@@ -18,8 +20,8 @@ import (
 // scalar accumulator shape, which sharedwrite deliberately ignores.
 var GrainLoop = &Analyzer{
 	Name: "grainloop",
-	Doc: "flags parallelGrains callbacks that write captured scalar state (loop-carried " +
-		"accumulators) without synchronization; suppress with //lint:grain-ok",
+	Doc: "flags parallelGrains callbacks that write captured or shared-argument scalar state " +
+		"(loop-carried accumulators) without synchronization; suppress with //lint:grain-ok",
 	Run: runGrainLoop,
 }
 
@@ -54,18 +56,24 @@ func isScalar(t types.Type) bool {
 }
 
 func checkGrainCallback(pass *Pass, lit *ast.FuncLit) {
+	const fix = " — loop-carried state shared across workers; " +
+		"use sync/atomic, a per-worker shard, or annotate //lint:grain-ok"
 	report := func(lhs ast.Expr) {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok {
-			return
+		switch x := ast.Unparen(lhs).(type) {
+		case *ast.Ident:
+			v, captured := capturedVar(pass, lit, x)
+			if captured && isScalar(v.Type()) {
+				pass.Reportf(lhs.Pos(), "grain callback writes captured scalar %q"+fix, x.Name)
+			}
+		case *ast.SelectorExpr:
+			id := rootExpr(x)
+			if id == nil || !isScalar(pass.TypeOf(x)) {
+				return
+			}
+			if _, _, shared := sharedVar(pass, lit, id); shared {
+				pass.Reportf(lhs.Pos(), "grain callback writes shared scalar %q through %q"+fix, x.Sel.Name, id.Name)
+			}
 		}
-		v, captured := capturedVar(pass, lit, id)
-		if !captured || !isScalar(v.Type()) {
-			return
-		}
-		pass.Reportf(lhs.Pos(),
-			"grain callback writes captured scalar %q — loop-carried state shared across workers; "+
-				"use sync/atomic, a per-worker shard, or annotate //lint:grain-ok", id.Name)
 	}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch x := n.(type) {

@@ -32,6 +32,38 @@ func capturedVar(pass *Pass, fn *ast.FuncLit, id *ast.Ident) (*types.Var, bool) 
 	return v, true
 }
 
+// sharedVar reports whether id, the base of an lvalue inside fn, names
+// state that other goroutines running fn reach: a captured variable,
+// or a pointer parameter. The second is how a fan-out hands every
+// worker one shared argument block (the bfs kernels' *levelArgs), so a
+// write through it is as shared as a write to a capture, though fn
+// captures nothing. captured tells the two apart for diagnostics.
+func sharedVar(pass *Pass, fn *ast.FuncLit, id *ast.Ident) (v *types.Var, captured, ok bool) {
+	if v, ok := capturedVar(pass, fn, id); ok {
+		return v, true, true
+	}
+	v, isVar := pass.ObjectOf(id).(*types.Var)
+	if !isVar || !isParam(pass, fn, v) {
+		return nil, false, false
+	}
+	if _, ptr := v.Type().Underlying().(*types.Pointer); !ptr {
+		return nil, false, false
+	}
+	return v, false, true
+}
+
+// isParam reports whether v is one of fn's parameters.
+func isParam(pass *Pass, fn *ast.FuncLit, v *types.Var) bool {
+	for _, field := range fn.Type.Params.List {
+		for _, name := range field.Names {
+			if pass.ObjectOf(name) == v {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // rootExpr descends through index, slice, star, paren, and selector
 // expressions to the base identifier of an lvalue, e.g. locals in
 // locals[worker] or r in r.Parent[v]. Returns nil if the base is not a

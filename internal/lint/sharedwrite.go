@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -16,10 +17,16 @@ import (
 //     body of `if x.SetAtomic(...)` or `if atomic.CompareAndSwap*(...)`
 //     (the top-down kernels' pattern: the CAS winner owns the slot);
 //   - it is a per-worker shard, i.e. the element index is the
-//     closure's own worker parameter (locals[worker] = ...);
+//     closure's own worker parameter, its first integer parameter
+//     (locals[worker] = ...);
 //   - it is annotated //lint:shared-ok with a human-reviewed rationale
 //     (the bottom-up kernel's pattern: vertex ranges are disjoint by
 //     construction, which no local analysis can prove).
+//
+// Shared means captured, or reached through a pointer parameter: the
+// bfs fan-out passes its grain callback a *levelArgs that every worker
+// shares, so `a.r.Parent[v] = u` there is policed like a write to a
+// captured parent slice.
 var SharedWrite = &Analyzer{
 	Name: "sharedwrite",
 	Doc: "flags unsynchronized writes to slices/maps captured by goroutine closures; " +
@@ -109,8 +116,8 @@ func checkClosureWrites(pass *Pass, lit *ast.FuncLit) {
 		if id == nil {
 			return
 		}
-		v, captured := capturedVar(pass, lit, id)
-		if !captured {
+		v, captured, shared := sharedVar(pass, lit, id)
+		if !shared {
 			return
 		}
 		// Only container writes: either indexing into a captured
@@ -129,8 +136,12 @@ func checkClosureWrites(pass *Pass, lit *ast.FuncLit) {
 		if inGuard(lhs.Pos()) {
 			return
 		}
+		what := "write to captured %q"
+		if !captured {
+			what = "write through shared parameter %q"
+		}
 		pass.Reportf(lhs.Pos(),
-			"write to captured %q inside a goroutine closure without an atomic claim or per-worker shard; "+
+			what+" inside a goroutine closure without an atomic claim or per-worker shard; "+
 				"synchronize it or annotate //lint:shared-ok with the invariant that makes it safe", id.Name)
 	}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
@@ -172,8 +183,10 @@ func claimGuardedRanges(pass *Pass, lit *ast.FuncLit) [][2]token.Pos {
 }
 
 // isWorkerShardIndex reports whether the index expression is the
-// closure's own first parameter — the per-worker shard idiom
-// locals[worker] where each goroutine owns exactly one slot.
+// closure's own first integer parameter — the per-worker shard idiom
+// locals[worker] where each goroutine owns exactly one slot. A
+// callback that takes a shared argument block first, (a, worker,
+// start, end), still owns the slot of its worker.
 func isWorkerShardIndex(pass *Pass, lit *ast.FuncLit, index ast.Expr) bool {
 	id, ok := ast.Unparen(index).(*ast.Ident)
 	if !ok {
@@ -183,14 +196,11 @@ func isWorkerShardIndex(pass *Pass, lit *ast.FuncLit, index ast.Expr) bool {
 	if obj == nil {
 		return false
 	}
-	params := lit.Type.Params
-	if params == nil || len(params.List) == 0 {
-		return false
-	}
-	for _, name := range params.List[0].Names {
-		if pass.ObjectOf(name) == obj {
-			return true
+	for _, field := range lit.Type.Params.List {
+		if b, ok := pass.TypeOf(field.Type).Underlying().(*types.Basic); !ok || b.Info()&types.IsInteger == 0 {
+			continue
 		}
+		return len(field.Names) > 0 && pass.ObjectOf(field.Names[0]) == obj
 	}
 	return false
 }

@@ -98,3 +98,44 @@ func goodAnnotated(degrees []int64) int64 {
 	})
 	return total
 }
+
+// levelArgs mimics the kernels' shared argument block: the grain
+// callback captures nothing and every worker gets the same pointer.
+type levelArgs struct {
+	degrees []int64
+	total   int64
+	sum     atomic.Int64
+}
+
+func parallelGrainsArgs(a *levelArgs, n int, fn func(a *levelArgs, worker, start, end int)) {
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			fn(a, worker, 0, n)
+		}(w)
+	}
+	wg.Wait()
+}
+
+// badArgsAccumulator is badScalarAccumulator through the argument
+// block.
+func badArgsAccumulator(a *levelArgs) {
+	parallelGrainsArgs(a, len(a.degrees), func(a *levelArgs, worker, start, end int) {
+		for _, d := range a.degrees[start:end] {
+			a.total += d // want `grain callback writes shared scalar "total" through "a"`
+		}
+	})
+}
+
+// goodArgsAtomic is the kernels' pattern through the argument block.
+func goodArgsAtomic(a *levelArgs) {
+	parallelGrainsArgs(a, len(a.degrees), func(a *levelArgs, worker, start, end int) {
+		var local int64
+		for _, d := range a.degrees[start:end] {
+			local += d
+		}
+		a.sum.Add(local)
+	})
+}

@@ -221,3 +221,21 @@ func goodScatterFlat(frontier []int32, outboxes [][][]int32, owner func(int32) i
 		}
 	})
 }
+
+// grainArgs mimics the kernels' shared argument block, and
+// parallelGrainsArgs a fan-out whose callback captures nothing.
+type grainArgs struct{ xs []int64 }
+
+func parallelGrainsArgs(a *grainArgs, n int, fn func(a *grainArgs, worker, start, end int)) {
+	fn(a, 0, 0, n)
+}
+
+// badMakeInArgsGrain: a callback that captures nothing is still a
+// grain loop, and its allocations are still flagged.
+func badMakeInArgsGrain(a *grainArgs) {
+	parallelGrainsArgs(a, len(a.xs), func(a *grainArgs, worker, start, end int) {
+		buf := make([]int64, 0, end-start) // want `hot path \(grain loop of parallelGrainsArgs\): make allocates`
+		buf = append(buf, a.xs[start:end]...)
+		_ = buf
+	})
+}

@@ -212,3 +212,69 @@ func goodOwnedRange(parent []int32, lo, hi []int, replica *bitmap) {
 	}
 	wg.Wait()
 }
+
+// The cases below mirror the workspace-owned fan-out: the grain
+// callback captures nothing and reaches the level's state through a
+// pointer parameter that every worker shares.
+
+// levelArgs mimics the kernels' shared argument block.
+type levelArgs struct {
+	parent, queue []int32
+	locals        [][]int32
+	visited       *bitmap
+}
+
+// fanout mimics the dispatcher that owns the arguments.
+type fanout struct{ args levelArgs }
+
+func (f *fanout) parallelGrains(n, grain, workers int, fn func(a *levelArgs, worker, start, end int)) {
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			fn(&f.args, worker, 0, n)
+		}(w)
+	}
+	wg.Wait()
+}
+
+// badArgsParentWrite is badParentWrite through the argument block.
+func badArgsParentWrite(f *fanout) {
+	f.parallelGrains(len(f.args.queue), 64, 4, func(a *levelArgs, worker, start, end int) {
+		for _, u := range a.queue[start:end] {
+			if !a.visited.Get(int(u)) {
+				a.parent[u] = u // want `write through shared parameter "a"`
+			}
+		}
+	})
+}
+
+// badArgsFixedSlot appends every worker's output to one shard.
+func badArgsFixedSlot(f *fanout) {
+	f.parallelGrains(len(f.args.queue), 64, 4, func(a *levelArgs, worker, start, end int) {
+		a.locals[0] = append(a.locals[0], a.queue[start:end]...) // want `write through shared parameter "a"`
+	})
+}
+
+// goodArgsClaimGuarded is the top-down kernel through the argument
+// block: only the SetAtomic winner writes.
+func goodArgsClaimGuarded(f *fanout) {
+	f.parallelGrains(len(f.args.queue), 64, 4, func(a *levelArgs, worker, start, end int) {
+		for _, u := range a.queue[start:end] {
+			if a.visited.SetAtomic(int(u)) {
+				a.parent[u] = u
+			}
+		}
+	})
+}
+
+// goodArgsWorkerShard is the per-worker shard through the argument
+// block: worker is the callback's first integer parameter.
+func goodArgsWorkerShard(f *fanout) {
+	f.parallelGrains(len(f.args.queue), 64, 4, func(a *levelArgs, worker, start, end int) {
+		local := a.locals[worker]
+		local = append(local, a.queue[start:end]...)
+		a.locals[worker] = local
+	})
+}

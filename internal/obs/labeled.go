@@ -44,7 +44,8 @@ func NewRegistryRecorder(reg *Registry, engine string) *RegistryRecorder {
 	rr := &RegistryRecorder{
 		engine: engine,
 		scans: reg.Counter("crossbfs_engine_bottomup_scans_total",
-			"Adjacency entries scanned by bottom-up levels, by engine.", LabelEngine).With(engine),
+			"Adjacency entries tested by bottom-up levels: one per hub probe, plus the scans "+
+				"of the vertices no probe found, by engine.", LabelEngine).With(engine),
 		grains: reg.Counter("crossbfs_engine_grains_total",
 			"Grain blocks dispatched across levels, by engine.", LabelEngine).With(engine),
 		failed: reg.Counter("crossbfs_engine_traversal_errors_total",

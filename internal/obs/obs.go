@@ -240,9 +240,11 @@ type Event struct {
 	Discovered       int64
 	Unvisited        int64
 	Scans            int64
-	// Grains and Workers are the dispatch-level scheduling inputs of
-	// the step: how many grain-sized blocks the level was split into
-	// and how many workers were requested for them.
+	// Grains and Workers are what the level dispatcher ran for the
+	// step: how many grain-sized blocks a fan-out split the level into
+	// and how many workers claimed them, or 1 and 1 for a level that
+	// ran its serial kernel inline. The sharded engine reports its
+	// rank count in both.
 	Grains  int64
 	Workers int32
 
