@@ -3,6 +3,8 @@ package crossbfs
 import (
 	"path/filepath"
 	"testing"
+
+	"crossbfs/internal/tuner"
 )
 
 func TestGenerateAndBFS(t *testing.T) {
@@ -30,12 +32,8 @@ func TestGenerateAndBFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := BFSHybrid(g, src, 100, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for v := range res.Level {
-		if td.Level[v] != res.Level[v] || bu.Level[v] != res.Level[v] || hy.Level[v] != res.Level[v] {
+		if td.Level[v] != res.Level[v] || bu.Level[v] != res.Level[v] {
 			t.Fatalf("engines disagree at vertex %d", v)
 		}
 	}
@@ -48,24 +46,6 @@ func TestBuildGraphFacade(t *testing.T) {
 	}
 	if g.NumEdges() != 4 {
 		t.Errorf("edges = %d, want 4 (symmetrized)", g.NumEdges())
-	}
-}
-
-func TestSaveLoadGraphFacade(t *testing.T) {
-	g, err := GenerateRMAT(8, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "g.csr")
-	if err := SaveGraph(g, path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadGraph(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumEdges() != g.NumEdges() {
-		t.Error("round trip changed the graph")
 	}
 }
 
@@ -139,12 +119,12 @@ func TestAdaptivePipelineFacade(t *testing.T) {
 		t.Error("nil model accepted")
 	}
 
-	// Persistence via the facade.
+	// The facade's model persists and reloads to the same predictions.
 	path := filepath.Join(t.TempDir(), "m.gob")
 	if err := model.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadModel(path)
+	loaded, err := tuner.LoadModel(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,26 +134,33 @@ func TestAdaptivePipelineFacade(t *testing.T) {
 	}
 }
 
-func TestComputeTraceFacade(t *testing.T) {
-	g, err := GenerateRMAT(9, 8, 1)
+func TestMeasureAllFacade(t *testing.T) {
+	g, err := GenerateRMAT(10, 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := firstSource(t, g)
-	res, err := BFS(g, src)
+	times, err := MeasureAll(g, firstSource(t, g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := ComputeTrace(g, res)
+	for _, name := range []string{"top-down", "bottom-up", "hybrid-mn", "beamer-ab"} {
+		if times[name] <= 0 {
+			t.Errorf("%s: no time recorded", name)
+		}
+	}
+}
+
+func TestGraphAnalysisViaFacade(t *testing.T) {
+	// Analysis methods are reachable through the Graph alias.
+	g, err := BuildGraph(6, []Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 3, To: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Reachable != res.VisitedCount {
-		t.Error("trace and result disagree")
+	if _, count := g.ConnectedComponents(); count != 3 {
+		t.Errorf("components = %d, want 3", count)
 	}
-	timing := SimulateTrace(tr, NewCombination(GPU(), 64, 64), PCIe())
-	if timing.Total <= 0 {
-		t.Error("degenerate timing from trace")
+	if d := g.ApproxDiameter(0); d != 2 {
+		t.Errorf("diameter = %d, want 2", d)
 	}
 }
 

@@ -11,6 +11,7 @@ package crossbfs
 // reproduces the whole evaluation.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -50,7 +51,7 @@ func fixture(b *testing.B) (*graph.CSR, *bfs.Trace) {
 				break
 			}
 		}
-		fixtureTrace, fixtureErr = bfs.TraceFrom(fixtureGraph, src)
+		fixtureTrace, fixtureErr = bfs.TraceFrom(context.Background(), fixtureGraph, src, nil, nil)
 	})
 	if fixtureErr != nil {
 		b.Fatal(fixtureErr)
@@ -350,7 +351,7 @@ func BenchmarkAblationReplayVsRerun(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, cand := range candidates[:10] {
-				if _, err := bfs.Hybrid(g, tr.Source, cand.M, cand.N, 0); err != nil {
+				if _, err := bfs.Run(context.Background(), g, tr.Source, bfs.Options{Policy: bfs.MN{M: cand.M, N: cand.N}}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -549,7 +550,7 @@ func BenchmarkEndToEndAdaptive(b *testing.B) {
 			Host: archsim.SandyBridge(), Coprocessor: archsim.KeplerK20x(),
 			M1: p.M, N1: p.N, M2: p.M, N2: p.N,
 		}
-		_, _, timing, err := core.Execute(g, tr.Source, plan, archsim.PCIe(), 0)
+		_, _, timing, err := core.ExecuteResilient(context.Background(), g, tr.Source, plan, archsim.PCIe(), core.ResilientOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

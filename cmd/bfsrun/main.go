@@ -183,7 +183,7 @@ func run(ctx context.Context, cfg config) error {
 	fmt.Printf("graph: %d vertices, %d directed edges, source %d\n", g.NumVertices(), g.NumEdges(), src)
 
 	ws := bfs.DefaultPool.Get(g.NumVertices())
-	tr, err := bfs.TraceFromObserved(ctx, g, src, ws, tel.rec)
+	tr, err := bfs.TraceFrom(ctx, g, src, ws, tel.rec)
 	bfs.DefaultPool.Put(ws)
 	if err != nil {
 		return err
@@ -537,7 +537,7 @@ func runChaos(ctx context.Context, cfg config) error {
 	if err != nil {
 		return err
 	}
-	ref, err := bfs.Serial(g, src)
+	ref, err := bfs.SerialEngine().Run(g, src, nil)
 	if err != nil {
 		return err
 	}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -79,7 +80,7 @@ func run(scale, edgeFactor int, seed uint64, numRoots int, mode, planName string
 		// times reflect kernel work, not allocator churn between roots.
 		ws := bfs.NewWorkspace(g.NumVertices())
 		for i, root := range roots {
-			res, timing, err := core.MeasureWith(g, root, bfs.MN{M: m, N: n}, "hybrid", workers, ws)
+			res, timing, err := core.Measure(g, root, bfs.MN{M: m, N: n}, "hybrid", workers, ws)
 			if err != nil {
 				return err
 			}
@@ -95,7 +96,7 @@ func run(scale, edgeFactor int, seed uint64, numRoots int, mode, planName string
 			return err
 		}
 		link := archsim.PCIe()
-		err = bfs.RunManyFunc(g, roots, bfs.ManyOptions{Engine: bfs.SerialEngine()},
+		err = bfs.RunMany(context.Background(), g, roots, bfs.ManyOptions{Engine: bfs.SerialEngine()},
 			func(i int, root int32, res *bfs.Result) error {
 				if err := bfs.Validate(g, res); err != nil {
 					return fmt.Errorf("root %d failed validation: %w", root, err)
@@ -105,8 +106,8 @@ func run(scale, edgeFactor int, seed uint64, numRoots int, mode, planName string
 					return err
 				}
 				timing := core.Simulate(tr, plan, link)
-				times[i] = timing.Total //lint:shared-ok RunManyFunc delivers each index to exactly one callback
-				teps[i] = timing.TEPS() //lint:shared-ok RunManyFunc delivers each index to exactly one callback
+				times[i] = timing.Total //lint:shared-ok RunMany delivers each index to exactly one callback
+				teps[i] = timing.TEPS() //lint:shared-ok RunMany delivers each index to exactly one callback
 				return nil
 			})
 		if err != nil {

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -76,7 +77,7 @@ func run(modelPath string, scale, edgeFactor int, seed uint64, graphPath string,
 	if !ok {
 		return fmt.Errorf("graph has no edges to traverse")
 	}
-	tr, err := bfs.TraceFrom(g, src)
+	tr, err := bfs.TraceFrom(context.Background(), g, src, nil, nil)
 	if err != nil {
 		return err
 	}

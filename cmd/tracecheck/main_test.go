@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -27,7 +28,8 @@ func writeTrace(t *testing.T) string {
 		t.Fatal(err)
 	}
 	tw := obs.NewTraceWriter(f)
-	_, err = bfs.RunMany(g, []int32{0, 1, 2}, bfs.ManyOptions{Recorder: tw})
+	err = bfs.RunMany(context.Background(), g, []int32{0, 1, 2}, bfs.ManyOptions{Recorder: tw},
+		func(int, int32, *bfs.Result) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

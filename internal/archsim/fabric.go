@@ -83,14 +83,6 @@ func Eth10G(n int) *Fabric {
 // Ranks returns the number of endpoints.
 func (f *Fabric) Ranks() int { return len(f.links) }
 
-// Pair returns the link from rank i to rank j.
-func (f *Fabric) Pair(i, j int) Link { return f.links[i][j] }
-
-// PairTime returns the seconds to move n bytes from rank i to rank j.
-func (f *Fabric) PairTime(i, j int, n int64) float64 {
-	return f.links[i][j].TransferTime(n)
-}
-
 // slowest returns the worst (highest-cost) link for the given byte
 // count across all distinct pairs — the bottleneck wire collective
 // estimates are built on.

@@ -19,11 +19,11 @@ func TestNewFabricValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Pair(0, 0); got != SameDevice() {
+	if got := f.links[0][0]; got != SameDevice() {
 		t.Errorf("diagonal not forced to SameDevice: %+v", got)
 	}
-	if got := f.Pair(0, 1); got != PCIe() {
-		t.Errorf("Pair(0,1) = %+v", got)
+	if got := f.links[0][1]; got != PCIe() {
+		t.Errorf("link 0->1 = %+v", got)
 	}
 }
 
@@ -45,7 +45,7 @@ func TestCollectiveScaling(t *testing.T) {
 		}
 		prev = gt
 		// Ring all-gather: exactly (n-1) bottleneck transfers.
-		want := float64(n-1) * f.Pair(0, 1).TransferTime(bytes)
+		want := float64(n-1) * f.links[0][1].TransferTime(bytes)
 		if math.Abs(gt-want) > 1e-12 {
 			t.Errorf("n=%d: all-gather %g, want %g", n, gt, want)
 		}
@@ -56,7 +56,7 @@ func TestAllToAllSplitsPayload(t *testing.T) {
 	f := Eth10G(4)
 	total := int64(3 << 20)
 	got := f.AllToAllTime(total)
-	want := 3 * f.Pair(0, 1).TransferTime(1<<20)
+	want := 3 * f.links[0][1].TransferTime(1<<20)
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("all-to-all %g, want %g", got, want)
 	}

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -45,7 +46,7 @@ func BenchmarkRunManyRecorderOverhead(b *testing.B) {
 			var edges int64
 			warm := func() {
 				edges = 0
-				err := RunManyFunc(g, roots, opts, func(_ int, _ int32, r *Result) error {
+				err := RunMany(context.Background(), g, roots, opts, func(_ int, _ int32, r *Result) error {
 					edges += r.TraversedEdges
 					return nil
 				})

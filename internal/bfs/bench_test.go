@@ -51,7 +51,7 @@ func BenchmarkSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := Serial(g, src)
+		r, err := SerialEngine().Run(g, src, nil)
 		benchTEPS(b, r, err)
 	}
 }
@@ -61,7 +61,7 @@ func BenchmarkTopDownSerialKernels(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := RunTopDown(g, src, 1)
+		r, err := Run(context.Background(), g, src, Options{Policy: AlwaysTopDown, Workers: 1}, nil)
 		benchTEPS(b, r, err)
 	}
 }
@@ -71,7 +71,7 @@ func BenchmarkTopDownParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := RunTopDown(g, src, 0)
+		r, err := Run(context.Background(), g, src, Options{Policy: AlwaysTopDown}, nil)
 		benchTEPS(b, r, err)
 	}
 }
@@ -81,7 +81,7 @@ func BenchmarkBottomUp(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := RunBottomUp(g, src, 0)
+		r, err := Run(context.Background(), g, src, Options{Policy: AlwaysBottomUp}, nil)
 		benchTEPS(b, r, err)
 	}
 }
@@ -91,7 +91,7 @@ func BenchmarkHybrid(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := Hybrid(g, src, 64, 64, 0)
+		r, err := Run(context.Background(), g, src, Options{Policy: MN{M: 64, N: 64}}, nil)
 		benchTEPS(b, r, err)
 	}
 }
@@ -107,7 +107,7 @@ func BenchmarkRunReuseWorkspace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := RunWith(g, src, opts, ws)
+		r, err := Run(context.Background(), g, src, opts, ws)
 		benchTEPS(b, r, err)
 	}
 }
@@ -141,7 +141,7 @@ func benchRunMany64(b *testing.B, opts ManyOptions) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		edges.Store(0)
-		err := RunManyFunc(g, roots, opts, func(_ int, _ int32, r *Result) error {
+		err := RunMany(context.Background(), g, roots, opts, func(_ int, _ int32, r *Result) error {
 			edges.Add(r.TraversedEdges)
 			return nil
 		})
@@ -154,7 +154,7 @@ func benchRunMany64(b *testing.B, opts ManyOptions) {
 
 func BenchmarkComputeTrace(b *testing.B) {
 	g, src := benchGraph(b)
-	r, err := Serial(g, src)
+	r, err := SerialEngine().Run(g, src, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func BenchmarkComputeTrace(b *testing.B) {
 
 func BenchmarkValidate(b *testing.B) {
 	g, src := benchGraph(b)
-	r, err := Serial(g, src)
+	r, err := SerialEngine().Run(g, src, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func BenchmarkShardedScales(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					r, err := eng.RunContext(context.Background(), g, src, ws)
+					r, err := eng.RunObserved(context.Background(), g, src, ws, nil)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -212,7 +213,7 @@ func testRMAT(t *testing.T, scale, ef int, seed uint64) *graph.CSR {
 
 func TestSerialPath(t *testing.T) {
 	g := pathGraph(t, 5)
-	r, err := Serial(g, 0)
+	r, err := SerialEngine().Run(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestSerialPath(t *testing.T) {
 
 func TestSerialStar(t *testing.T) {
 	g := starGraph(t, 100)
-	r, err := Serial(g, 0)
+	r, err := SerialEngine().Run(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestSerialStar(t *testing.T) {
 		}
 	}
 	// Search from a leaf: hub at 1, other leaves at 2.
-	r2, err := Serial(g, 42)
+	r2, err := SerialEngine().Run(g, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestSerialStar(t *testing.T) {
 
 func TestSerialDisconnected(t *testing.T) {
 	g := mustBuild(t, 6, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 3, To: 4}})
-	r, err := Serial(g, 0)
+	r, err := SerialEngine().Run(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestSerialDisconnected(t *testing.T) {
 
 func TestSerialIsolatedSource(t *testing.T) {
 	g := mustBuild(t, 3, []graph.Edge{{From: 1, To: 2}})
-	r, err := Serial(g, 0)
+	r, err := SerialEngine().Run(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,13 +297,13 @@ func TestSerialIsolatedSource(t *testing.T) {
 
 func TestSourceOutOfRange(t *testing.T) {
 	g := pathGraph(t, 3)
-	if _, err := Serial(g, 7); err == nil {
+	if _, err := SerialEngine().Run(g, 7, nil); err == nil {
 		t.Error("out-of-range source accepted by Serial")
 	}
-	if _, err := Serial(g, -1); err == nil {
+	if _, err := SerialEngine().Run(g, -1, nil); err == nil {
 		t.Error("negative source accepted by Serial")
 	}
-	if _, err := Run(g, 99, Options{}); err == nil {
+	if _, err := Run(context.Background(), g, 99, Options{}, nil); err == nil {
 		t.Error("out-of-range source accepted by Run")
 	}
 }
@@ -354,12 +355,12 @@ func TestKernelsAgreeWithSerial(t *testing.T) {
 				break
 			}
 		}
-		want, err := Serial(g, src)
+		want, err := SerialEngine().Run(g, src, nil)
 		if err != nil {
 			t.Fatalf("%s: Serial: %v", name, err)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			td, err := RunTopDown(g, src, workers)
+			td, err := Run(context.Background(), g, src, Options{Policy: AlwaysTopDown, Workers: workers}, nil)
 			if err != nil {
 				t.Fatalf("%s: top-down: %v", name, err)
 			}
@@ -369,7 +370,7 @@ func TestKernelsAgreeWithSerial(t *testing.T) {
 			}
 			mustInvariants(t, name+"/topdown", g, td)
 
-			bu, err := RunBottomUp(g, src, workers)
+			bu, err := Run(context.Background(), g, src, Options{Policy: AlwaysBottomUp, Workers: workers}, nil)
 			if err != nil {
 				t.Fatalf("%s: bottom-up: %v", name, err)
 			}
@@ -381,7 +382,7 @@ func TestKernelsAgreeWithSerial(t *testing.T) {
 			checkScans(t, fmt.Sprintf("%s/bottomup/%d workers", name, workers), g, bu)
 
 			for _, mn := range [][2]float64{{1, 1}, {10, 10}, {64, 64}, {300, 300}, {2, 500}} {
-				hy, err := Hybrid(g, src, mn[0], mn[1], workers)
+				hy, err := Run(context.Background(), g, src, Options{Policy: MN{M: mn[0], N: mn[1]}, Workers: workers}, nil)
 				if err != nil {
 					t.Fatalf("%s: hybrid(%v): %v", name, mn, err)
 				}
@@ -398,7 +399,7 @@ func TestKernelsAgreeWithSerial(t *testing.T) {
 
 func TestHybridActuallySwitches(t *testing.T) {
 	g := testRMAT(t, 10, 16, 3)
-	r, err := Hybrid(g, 0, 300, 300, 0)
+	r, err := Run(context.Background(), g, 0, Options{Policy: MN{M: 300, N: 300}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +446,7 @@ func TestMNValidate(t *testing.T) {
 	if (MN{M: 1, N: -3}).Validate() == nil {
 		t.Error("negative N accepted")
 	}
-	if _, err := Run(pathGraph(t, 3), 0, Options{Policy: MN{}}); err == nil {
+	if _, err := Run(context.Background(), pathGraph(t, 3), 0, Options{Policy: MN{}}, nil); err == nil {
 		t.Error("Run accepted zero-value MN policy")
 	}
 }
@@ -453,7 +454,7 @@ func TestMNValidate(t *testing.T) {
 func TestRunRejectsUnknownDirection(t *testing.T) {
 	g := pathGraph(t, 4)
 	bad := PolicyFunc(func(StepInfo) Direction { return Direction(9) })
-	if _, err := Run(g, 0, Options{Policy: bad}); err == nil {
+	if _, err := Run(context.Background(), g, 0, Options{Policy: bad}, nil); err == nil {
 		t.Error("unknown direction accepted")
 	}
 }
@@ -476,7 +477,7 @@ func TestValidateCatchesCorruptedResults(t *testing.T) {
 			break
 		}
 	}
-	r, err := Serial(g, src)
+	r, err := SerialEngine().Run(g, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +532,7 @@ func TestValidateCatchesNonTreeEdgeParent(t *testing.T) {
 	// Parent not adjacent to child: levels can still be consistent on
 	// a 4-cycle if we claim the wrong parent.
 	g := mustBuild(t, 4, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 0}})
-	r, err := Serial(g, 0)
+	r, err := SerialEngine().Run(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,9 +582,9 @@ func counterEngines() []Engine {
 	engines := []Engine{SerialEngine()}
 	for _, w := range []int{1, 4} {
 		engines = append(engines,
-			TopDownEngine(w), BottomUpEngine(w), EdgeParallelEngine(w),
+			TopDownEngine(w), BottomUpEngine(w),
 			HybridEngine(1, 1, w), HybridEngine(DefaultM, DefaultN, w), HybridEngine(300, 300, w),
-			BeamerEngine(0, 0, w), HongEngine(w))
+			beamerEngine(w), hongEngine(w))
 	}
 	for _, ranks := range []int{1, 2, 4} {
 		engines = append(engines, NewShardedEngine(ranks, DefaultM, DefaultN))
@@ -674,11 +675,11 @@ func TestStepInfoFrontierEdges(t *testing.T) {
 		name string
 		make func(Policy) Engine
 	}{
-		{"workers1", func(p Policy) Engine { return AdaptiveEngine("rec", func() Policy { return p }, 1) }},
-		{"workers4", func(p Policy) Engine { return AdaptiveEngine("rec", func() Policy { return p }, 4) }},
-		{"ranks1", func(p Policy) Engine { return NewShardedAdaptive(1, "rec", func() Policy { return p }) }},
-		{"ranks2", func(p Policy) Engine { return NewShardedAdaptive(2, "rec", func() Policy { return p }) }},
-		{"ranks4", func(p Policy) Engine { return NewShardedAdaptive(4, "rec", func() Policy { return p }) }},
+		{"workers1", func(p Policy) Engine { return &policyEngine{name: "rec", policy: p, workers: 1} }},
+		{"workers4", func(p Policy) Engine { return &policyEngine{name: "rec", policy: p, workers: 4} }},
+		{"ranks1", func(p Policy) Engine { return &Sharded{ranks: 1, policy: p, name: "rec"} }},
+		{"ranks2", func(p Policy) Engine { return &Sharded{ranks: 2, policy: p, name: "rec"} }},
+		{"ranks4", func(p Policy) Engine { return &Sharded{ranks: 4, policy: p, name: "rec"} }},
 	}
 	for _, tc := range counterGraphs(t) {
 		for _, p := range policies {
@@ -723,7 +724,7 @@ func TestRunCheckInvariants(t *testing.T) {
 			break
 		}
 	}
-	want, err := Serial(g, src)
+	want, err := SerialEngine().Run(g, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -735,7 +736,7 @@ func TestRunCheckInvariants(t *testing.T) {
 	}
 	for name, p := range policies {
 		for _, workers := range []int{1, 4} {
-			r, err := Run(g, src, Options{Policy: p, Workers: workers, CheckInvariants: true})
+			r, err := Run(context.Background(), g, src, Options{Policy: p, Workers: workers, CheckInvariants: true}, nil)
 			if err != nil {
 				t.Fatalf("%s/%d workers: %v", name, workers, err)
 			}
@@ -748,11 +749,11 @@ func TestBottomUpScansMatchKernel(t *testing.T) {
 	// The kernels report actual scan counts; the serial and parallel
 	// bottom-up kernels must agree exactly (same early-exit order).
 	g := testRMAT(t, 9, 16, 11)
-	r1, err := RunBottomUp(g, 0, 1)
+	r1, err := Run(context.Background(), g, 0, Options{Policy: AlwaysBottomUp, Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := RunBottomUp(g, 0, 4)
+	r4, err := Run(context.Background(), g, 0, Options{Policy: AlwaysBottomUp, Workers: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,9 +131,3 @@ func bottomUpRange(g *graph.CSR, r *Result, visited, front, next *bitmap.Bitmap,
 	}
 	return found, scans, degrees
 }
-
-// RunBottomUp runs a pure bottom-up BFS (the paper's GPUBU/CPUBU
-// baseline). workers <= 0 uses GOMAXPROCS.
-func RunBottomUp(g *graph.CSR, source int32, workers int) (*Result, error) {
-	return Run(g, source, Options{Policy: AlwaysBottomUp, Workers: workers})
-}

@@ -60,10 +60,9 @@ func allEngines() []Engine {
 		SerialEngine(),
 		TopDownEngine(4),
 		BottomUpEngine(4),
-		EdgeParallelEngine(4),
 		HybridEngine(64, 64, 4),
-		BeamerEngine(0, 0, 4),
-		HongEngine(4),
+		beamerEngine(4),
+		hongEngine(4),
 	}
 }
 
@@ -74,7 +73,7 @@ func allEngines() []Engine {
 func TestCancelMidTraversalAllEngines(t *testing.T) {
 	g := testRMAT(t, 10, 8, 2)
 	src := firstUsable(t, g)
-	want, err := Serial(g, src)
+	want, err := SerialEngine().Run(g, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestCancelMidTraversalAllEngines(t *testing.T) {
 	for _, e := range allEngines() {
 		ws := NewWorkspace(g.NumVertices())
 		ctx := newStepCancelCtx(3)
-		r, err := e.RunContext(ctx, g, src, ws)
+		r, err := e.RunObserved(ctx, g, src, ws, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", e.Name(), err)
 		}
@@ -96,7 +95,7 @@ func TestCancelMidTraversalAllEngines(t *testing.T) {
 
 		// The cancelled workspace must be pool-clean: reusing it must
 		// reproduce the reference traversal.
-		got, err := e.RunContext(context.Background(), g, src, ws)
+		got, err := e.RunObserved(context.Background(), g, src, ws, nil)
 		if err != nil {
 			t.Fatalf("%s: post-cancel reuse: %v", e.Name(), err)
 		}
@@ -119,7 +118,6 @@ func TestRecycledWorkspaceBitIdentical(t *testing.T) {
 		SerialEngine(),
 		TopDownEngine(1),
 		BottomUpEngine(1),
-		EdgeParallelEngine(1),
 		HybridEngine(64, 64, 1),
 	}
 	for _, e := range engines {
@@ -130,7 +128,7 @@ func TestRecycledWorkspaceBitIdentical(t *testing.T) {
 		fresh = fresh.Clone()
 
 		ws := NewWorkspace(g.NumVertices())
-		if _, err := e.RunContext(newStepCancelCtx(2), g, src, ws); !errors.Is(err, context.Canceled) {
+		if _, err := e.RunObserved(newStepCancelCtx(2), g, src, ws, nil); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: cancel: err = %v, want context.Canceled", e.Name(), err)
 		}
 		recycled, err := e.Run(g, src, ws)
@@ -150,12 +148,12 @@ func TestDeadlineExceededAllEngines(t *testing.T) {
 	defer cancel()
 	time.Sleep(time.Millisecond) // let the deadline pass
 	for _, e := range allEngines() {
-		if _, err := e.RunContext(ctx, g, src, nil); !errors.Is(err, context.DeadlineExceeded) {
+		if _, err := e.RunObserved(ctx, g, src, nil, nil); !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("%s: err = %v, want context.DeadlineExceeded", e.Name(), err)
 		}
 	}
-	if _, err := RunContext(ctx, g, src, Options{}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("RunContext: err = %v, want context.DeadlineExceeded", err)
+	if _, err := Run(ctx, g, src, Options{}, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Run: err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
@@ -166,16 +164,16 @@ func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, e := range allEngines() {
-		if _, err := e.RunContext(ctx, g, 0, nil); !errors.Is(err, context.Canceled) {
+		if _, err := e.RunObserved(ctx, g, 0, nil, nil); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", e.Name(), err)
 		}
 	}
-	err := RunManyFuncContext(ctx, g, []int32{0, 1}, ManyOptions{}, func(int, int32, *Result) error {
+	err := RunMany(ctx, g, []int32{0, 1}, ManyOptions{}, func(int, int32, *Result) error {
 		t.Error("callback ran under a pre-cancelled context")
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Errorf("RunManyFuncContext: err = %v, want context.Canceled", err)
+		t.Errorf("RunMany: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -192,7 +190,7 @@ func TestPolicyPanicContained(t *testing.T) {
 		return TopDown
 	})
 	ws := NewWorkspace(g.NumVertices())
-	_, err := RunWith(g, src, Options{Policy: boom, Workers: 2}, ws)
+	_, err := Run(context.Background(), g, src, Options{Policy: boom, Workers: 2}, ws)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v (%T), want *PanicError", err, err)
@@ -204,11 +202,11 @@ func TestPolicyPanicContained(t *testing.T) {
 		t.Error("PanicError.Stack is empty")
 	}
 	// The workspace survives the panic pool-clean.
-	want, err := Serial(g, src)
+	want, err := SerialEngine().Run(g, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunWith(g, src, Options{Workers: 1}, ws)
+	got, err := Run(context.Background(), g, src, Options{Workers: 1}, ws)
 	if err != nil {
 		t.Fatalf("post-panic reuse: %v", err)
 	}
@@ -313,7 +311,7 @@ func TestRunManyContextCancellation(t *testing.T) {
 	defer cancel()
 	counts := make([]atomic.Int32, len(roots))
 	var delivered atomic.Int64
-	err := RunManyFuncContext(ctx, g, roots, ManyOptions{Concurrency: 4}, func(i int, _ int32, _ *Result) error {
+	err := RunMany(ctx, g, roots, ManyOptions{Concurrency: 4}, func(i int, _ int32, _ *Result) error {
 		counts[i].Add(1)
 		if delivered.Add(1) == 3 {
 			cancel()

@@ -18,7 +18,7 @@ func levelEvents(t *testing.T, g *graph.CSR, src int32, opts Options) []obs.Even
 	t.Helper()
 	rec := &lockedRecorder{}
 	opts.Recorder = rec
-	if _, err := Run(g, src, opts); err != nil {
+	if _, err := Run(context.Background(), g, src, opts, nil); err != nil {
 		t.Fatal(err)
 	}
 	var levels []obs.Event
@@ -100,32 +100,6 @@ func TestLevelDispatchSizing(t *testing.T) {
 		}
 	})
 
-	t.Run("edge-parallel star levels", func(t *testing.T) {
-		// From the hub, step 1 expands one vertex with |V|-1 edges and
-		// step 2 the |V|-1 leaves with one edge each: both are enough
-		// for two workers over epGrain-edge ranges.
-		g := starGraph(t, 3*tdWorkerEdges)
-		rec := &lockedRecorder{}
-		if _, err := EdgeParallelEngine(2).RunObserved(context.Background(), g, 0, nil, rec); err != nil {
-			t.Fatal(err)
-		}
-		var levels []obs.Event
-		for _, e := range rec.events {
-			if e.Kind == obs.KindLevel {
-				levels = append(levels, e)
-			}
-		}
-		grains := int64(g.NumVertices()-1+epGrain-1) / epGrain
-		if len(levels) != 2 {
-			t.Fatalf("star traversal took %d levels, want 2", len(levels))
-		}
-		for _, e := range levels {
-			if e.Workers != 2 || e.Grains != grains {
-				t.Errorf("step %d ran %d grains on %d workers, want %d on 2", e.Step, e.Grains, e.Workers, grains)
-			}
-		}
-	})
-
 	t.Run("star hub level", func(t *testing.T) {
 		// Rooted at a leaf, step 2 expands the hub alone: one vertex,
 		// |V|-1 edges, one grain.
@@ -135,11 +109,11 @@ func TestLevelDispatchSizing(t *testing.T) {
 			name   string
 			policy Policy
 		}{{"topdown", AlwaysTopDown}, {"hybrid", hybrid}} {
-			want, err := Run(g, leaf, Options{Policy: p.policy, Workers: 1})
+			want, err := Run(context.Background(), g, leaf, Options{Policy: p.policy, Workers: 1}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Run(g, leaf, Options{Policy: p.policy, Workers: 2})
+			got, err := Run(context.Background(), g, leaf, Options{Policy: p.policy, Workers: 2}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +173,7 @@ func checkReleased(t *testing.T, when string, ws *Workspace) {
 	t.Helper()
 	f, a := &ws.fan, &ws.fan.args
 	if f.ctx != nil || f.fn != nil || f.err != nil || a.g != nil || a.r != nil ||
-		a.visited != nil || a.front != nil || a.next != nil || a.queue != nil || a.prefix != nil || a.locals != nil {
+		a.visited != nil || a.front != nil || a.next != nil || a.queue != nil || a.locals != nil {
 		t.Errorf("%s: the workspace's dispatcher still holds a fan-out's state", when)
 	}
 }
@@ -226,7 +200,7 @@ func TestLevelDispatchReuseAfterFailure(t *testing.T) {
 	if !fannedOut {
 		t.Fatal("reference traversal never fans out")
 	}
-	fresh, err := RunWith(g, src, opts, NewWorkspace(g.NumVertices()))
+	fresh, err := Run(context.Background(), g, src, opts, NewWorkspace(g.NumVertices()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +210,7 @@ func TestLevelDispatchReuseAfterFailure(t *testing.T) {
 		t.Helper()
 		settleGoroutines(t, t.Name(), base)
 		checkReleased(t, "after the failure", ws)
-		got, err := RunWith(g, src, opts, ws)
+		got, err := Run(context.Background(), g, src, opts, ws)
 		if err != nil {
 			t.Fatalf("reuse: %v", err)
 		}
@@ -248,7 +222,7 @@ func TestLevelDispatchReuseAfterFailure(t *testing.T) {
 		// Corrupt one adjacency entry of a vertex in the first top-down
 		// frontier that fans out, so the worker that scans it panics.
 		topDown := Options{Policy: AlwaysTopDown, Workers: 2}
-		ref, err := Run(g, src, topDown)
+		ref, err := Run(context.Background(), g, src, topDown, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +247,7 @@ func TestLevelDispatchReuseAfterFailure(t *testing.T) {
 
 		base := runtime.NumGoroutine()
 		ws := NewWorkspace(g.NumVertices())
-		_, err = RunWith(bad, src, topDown, ws)
+		_, err = Run(context.Background(), bad, src, topDown, ws)
 		var pe *PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("err = %v (%T), want *PanicError", err, err)
@@ -285,7 +259,7 @@ func TestLevelDispatchReuseAfterFailure(t *testing.T) {
 		base := runtime.NumGoroutine()
 		ws := NewWorkspace(g.NumVertices())
 		ctx := newFanoutCancelCtx(1)
-		if _, err := RunWithContext(ctx, g, src, opts, ws); !errors.Is(err, context.Canceled) {
+		if _, err := Run(ctx, g, src, opts, ws); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 		if n := ctx.calls.Load(); n != 2 {

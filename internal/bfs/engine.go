@@ -8,53 +8,52 @@ import (
 	"crossbfs/internal/obs"
 )
 
-// Engine is the unified execution interface over every BFS kernel in
-// the package: the serial reference, the parallel top-down and
-// bottom-up baselines, the edge-parallel kernel, the (M, N) hybrid,
-// and the adaptive heuristics. It replaces the free-function zoo
-// (RunTopDown / RunBottomUp / Run with hand-built Options) with one
-// shape that every layer — the simulator's Execute, the Graph 500
-// runner, the tuner, the CLI tools — can hold without knowing which
-// kernel is behind it, and it is the seam where pooled workspaces
-// plug in.
+// Engine is the execution interface over the package's BFS kernels:
+// the serial reference, the parallel top-down and bottom-up baselines,
+// the (M, N) hybrid and the sharded engine. Every layer that runs
+// traversals (serve's query planner, the Graph 500 runner, the batch
+// driver RunMany, the CLI tools) holds one without knowing which
+// kernel is behind it, and it is the seam where pooled workspaces plug
+// in.
+//
+// RunObserved is the one execution path. Run is its context-free,
+// unobserved form, kept because the repository's benchmark module
+// (perfbench) calls it; every implementation writes it as a one-line
+// forward to RunObserved.
 type Engine interface {
 	// Name identifies the engine in reports, e.g. "hybrid(64,64)".
 	Name() string
-	// Run executes one traversal from source. ws may be nil, in which
-	// case the engine allocates one-shot buffers; with a Workspace the
-	// traversal allocates nothing in steady state, and the returned
-	// Result aliases the workspace's buffers — it is valid only until
-	// the workspace's next traversal, so Clone it (or finish consuming
-	// it) before reusing the workspace.
+	// Run is RunObserved(context.Background(), g, source, ws, nil).
 	Run(g *graph.CSR, source int32, ws *Workspace) (*Result, error)
-	// RunContext is Run under a context: the traversal observes ctx at
-	// level boundaries (and grain boundaries in parallel kernels) and
-	// returns ctx.Err() promptly on cancellation or deadline expiry.
-	// Panics inside the traversal are contained and returned as a
-	// *PanicError. On error the workspace is quiescent and safe to
-	// reuse or return to a pool.
-	RunContext(ctx context.Context, g *graph.CSR, source int32, ws *Workspace) (*Result, error)
-	// RunObserved is RunContext with a telemetry recorder attached
-	// (see internal/obs): the traversal emits a start event, one event
-	// per expansion step carrying the per-level work counts, a switch
-	// event at each direction change, and an end event — all sharing
-	// one process-unique TraversalID. rec may be nil or obs.Nop, in
-	// which case RunObserved is exactly RunContext: no clock reads, no
-	// event construction, the steady-state 0 allocs/op gate holds.
+	// RunObserved executes one traversal from source. ws may be nil,
+	// in which case the engine allocates one-shot buffers; with a
+	// Workspace the traversal allocates nothing in steady state, and
+	// the returned Result aliases the workspace's buffers — it is
+	// valid only until the workspace's next traversal, so Clone it (or
+	// finish consuming it) before reusing the workspace.
+	//
+	// The traversal observes ctx at level boundaries (and grain
+	// boundaries in parallel kernels) and returns ctx.Err() promptly
+	// on cancellation or deadline expiry. Panics inside the traversal
+	// are contained and returned as a *PanicError. On error the
+	// workspace is quiescent and safe to reuse or return to a pool.
+	//
+	// rec receives the traversal's telemetry (see internal/obs): a
+	// start event, one event per expansion step carrying the per-level
+	// work counts, a switch event at each direction change, and an end
+	// event — all sharing one process-unique TraversalID. rec may be
+	// nil or obs.Nop: then there are no clock reads and no event
+	// construction, and the steady-state 0 allocs/op gate holds.
 	RunObserved(ctx context.Context, g *graph.CSR, source int32, ws *Workspace, rec obs.Recorder) (*Result, error)
 }
 
 // policyEngine is the direction-policy-driven level-synchronized
-// runner behind the top-down, bottom-up, hybrid, and adaptive engines.
+// runner behind the top-down, bottom-up and hybrid engines. Its policy
+// is shared across runs, so it must be stateless.
 type policyEngine struct {
-	name string
-	// policy is a stateless policy shared across runs; newPolicy, when
-	// set, builds a fresh policy per traversal for stateful heuristics
-	// (Beamer's alpha/beta phases, Hong's one-way switch).
-	policy          Policy
-	newPolicy       func() Policy
-	workers         int
-	checkInvariants bool
+	name    string
+	policy  Policy
+	workers int
 }
 
 // Name implements Engine.
@@ -62,25 +61,13 @@ func (e *policyEngine) Name() string { return e.name }
 
 // Run implements Engine.
 func (e *policyEngine) Run(g *graph.CSR, source int32, ws *Workspace) (*Result, error) {
-	return e.RunContext(context.Background(), g, source, ws)
-}
-
-// RunContext implements Engine.
-func (e *policyEngine) RunContext(ctx context.Context, g *graph.CSR, source int32, ws *Workspace) (*Result, error) {
-	return e.RunObserved(ctx, g, source, ws, nil)
+	return e.RunObserved(context.Background(), g, source, ws, nil)
 }
 
 // RunObserved implements Engine.
 func (e *policyEngine) RunObserved(ctx context.Context, g *graph.CSR, source int32, ws *Workspace, rec obs.Recorder) (*Result, error) {
-	pol := e.policy
-	if e.newPolicy != nil {
-		pol = e.newPolicy()
-	}
-	opts := Options{
-		Policy: pol, Workers: e.workers, CheckInvariants: e.checkInvariants,
-		Recorder: rec, Label: e.name,
-	}
-	return RunWithContext(ctx, g, source, opts, ws)
+	opts := Options{Policy: e.policy, Workers: e.workers, Recorder: rec, Label: e.name}
+	return Run(ctx, g, source, opts, ws)
 }
 
 // TopDownEngine returns the pure top-down baseline (paper Algorithm 1)
@@ -102,54 +89,6 @@ func HybridEngine(m, n float64, workers int) Engine {
 		name:    fmt.Sprintf("hybrid(%g,%g)", m, n),
 		policy:  MN{M: m, N: n},
 		workers: workers,
-	}
-}
-
-// AdaptiveEngine wraps a stateful switching heuristic as an Engine:
-// newPolicy is invoked once per traversal, so per-traversal phase
-// state (alpha/beta direction phase, Hong's one-way switch) never
-// leaks between roots.
-func AdaptiveEngine(name string, newPolicy func() Policy, workers int) Engine {
-	return &policyEngine{name: name, newPolicy: newPolicy, workers: workers}
-}
-
-// BeamerEngine returns Beamer et al.'s SC'12 alpha/beta heuristic as
-// an Engine (non-positive arguments select the published constants).
-func BeamerEngine(alpha, beta float64, workers int) Engine {
-	return AdaptiveEngine(
-		fmt.Sprintf("beamer(%g,%g)", alpha, beta),
-		func() Policy { return NewAlphaBeta(alpha, beta) },
-		workers,
-	)
-}
-
-// HongEngine returns Hong et al.'s PACT'11 one-way switching heuristic
-// as an Engine.
-func HongEngine(workers int) Engine {
-	return AdaptiveEngine("hong", func() Policy { return NewHongHybrid() }, workers)
-}
-
-// EngineFor adapts an Options value to the Engine interface — the
-// bridge for callers that already hold a policy (core.Execute,
-// core.Measure). The options' Policy instance is used as-is; hand
-// stateful policies to AdaptiveEngine instead so each traversal gets a
-// fresh one. The options' Recorder and Label are not captured:
-// telemetry attaches per call through Engine.RunObserved (callers that
-// want a recorder baked into an Options value should call
-// RunWithContext directly).
-func EngineFor(opts Options) Engine {
-	name := "policy"
-	switch p := opts.Policy.(type) {
-	case nil:
-		name = "topdown"
-	case MN:
-		name = fmt.Sprintf("hybrid(%g,%g)", p.M, p.N)
-	}
-	return &policyEngine{
-		name:            name,
-		policy:          opts.Policy,
-		workers:         opts.Workers,
-		checkInvariants: opts.CheckInvariants,
 	}
 }
 

@@ -1,11 +1,48 @@
 package bfs
 
 import (
-	"strings"
+	"context"
 	"testing"
 
 	"crossbfs/internal/graph"
+	"crossbfs/internal/obs"
 )
+
+// runnerEngine adapts the policy runner to the Engine interface for
+// the engine tables, building a fresh policy per traversal so the
+// stateful heuristics (Beamer's alpha/beta phases, Hong's one-way
+// switch) run beside the engines without leaking state between roots.
+type runnerEngine struct {
+	name      string
+	newPolicy func() Policy
+	workers   int
+	check     bool // Options.CheckInvariants
+}
+
+func (e runnerEngine) Name() string { return e.name }
+
+func (e runnerEngine) Run(g *graph.CSR, source int32, ws *Workspace) (*Result, error) {
+	return e.RunObserved(context.Background(), g, source, ws, nil)
+}
+
+func (e runnerEngine) RunObserved(ctx context.Context, g *graph.CSR, source int32, ws *Workspace, rec obs.Recorder) (*Result, error) {
+	opts := Options{
+		Policy: e.newPolicy(), Workers: e.workers, CheckInvariants: e.check,
+		Recorder: rec, Label: e.name,
+	}
+	return Run(ctx, g, source, opts, ws)
+}
+
+// beamerEngine runs Beamer et al.'s alpha/beta heuristic at the
+// published constants.
+func beamerEngine(workers int) Engine {
+	return runnerEngine{name: "beamer", newPolicy: func() Policy { return NewAlphaBeta(0, 0) }, workers: workers}
+}
+
+// hongEngine runs Hong et al.'s one-way switching heuristic.
+func hongEngine(workers int) Engine {
+	return runnerEngine{name: "hong", newPolicy: func() Policy { return NewHongHybrid() }, workers: workers}
+}
 
 // TestEnginesAgreeWithSerial checks every Engine implementation, with
 // both a fresh and a reused workspace, against the serial reference:
@@ -20,16 +57,15 @@ func TestEnginesAgreeWithSerial(t *testing.T) {
 		SerialEngine(),
 		TopDownEngine(0),
 		BottomUpEngine(0),
-		EdgeParallelEngine(0),
 		HybridEngine(64, 64, 0),
-		BeamerEngine(0, 0, 0),
-		HongEngine(0),
+		beamerEngine(0),
+		hongEngine(0),
 		DefaultEngine(),
-		EngineFor(Options{Policy: MN{M: 32, N: 32}, CheckInvariants: true}),
+		runnerEngine{name: "hybrid(32,32)+invariants", newPolicy: func() Policy { return MN{M: 32, N: 32} }, check: true},
 	}
 	for gname, g := range graphs {
 		src := firstUsable(t, g)
-		want, err := Serial(g, src)
+		want, err := SerialEngine().Run(g, src, nil)
 		if err != nil {
 			t.Fatalf("%s: serial reference: %v", gname, err)
 		}
@@ -85,31 +121,20 @@ func TestEngineNames(t *testing.T) {
 		{SerialEngine(), "serial"},
 		{TopDownEngine(0), "topdown"},
 		{BottomUpEngine(0), "bottomup"},
-		{EdgeParallelEngine(0), "edgeparallel"},
 		{HybridEngine(64, 64, 0), "hybrid(64,64)"},
-		{HongEngine(0), "hong"},
-		{EngineFor(Options{}), "topdown"},
-		{EngineFor(Options{Policy: MN{M: 10, N: 20}}), "hybrid(10,20)"},
+		{HybridEngine(10, 20, 0), "hybrid(10,20)"},
+		{DefaultEngine(), "hybrid(64,64)"},
 	}
 	for _, c := range cases {
 		if got := c.e.Name(); got != c.want {
 			t.Errorf("Name() = %q, want %q", got, c.want)
 		}
 	}
-	// EngineFor must never compare the (possibly non-comparable) Policy
-	// value; a PolicyFunc both exercises that and gets the generic name.
-	f := EngineFor(Options{Policy: PolicyFunc(func(StepInfo) Direction { return TopDown })})
-	if got := f.Name(); got != "policy" {
-		t.Errorf("EngineFor(PolicyFunc).Name() = %q, want %q", got, "policy")
-	}
-	if !strings.HasPrefix(BeamerEngine(0, 0, 0).Name(), "beamer(") {
-		t.Errorf("BeamerEngine name = %q", BeamerEngine(0, 0, 0).Name())
-	}
 }
 
 func TestEngineRejectsBadSource(t *testing.T) {
 	g := pathGraph(t, 4)
-	for _, e := range []Engine{SerialEngine(), DefaultEngine(), EdgeParallelEngine(0)} {
+	for _, e := range []Engine{SerialEngine(), DefaultEngine()} {
 		if _, err := e.Run(g, 99, nil); err == nil {
 			t.Errorf("%s: out-of-range source accepted", e.Name())
 		}

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -105,7 +106,7 @@ func FuzzHeuristicSwitch(f *testing.F) {
 		if err != nil {
 			t.Skip("graph build rejected fuzz input")
 		}
-		r, err := Run(g, src, Options{Policy: policy, CheckInvariants: true})
+		r, err := Run(context.Background(), g, src, Options{Policy: policy, CheckInvariants: true}, nil)
 		if !(m > 0) || !(n > 0) {
 			// Run validates up front; degenerate thresholds must be
 			// rejected there, not limp through on the fallback.
@@ -130,7 +131,7 @@ func FuzzHeuristicSwitch(f *testing.F) {
 		// (frontier = {source}) must follow the rule exactly — bottom-up
 		// there is only legal if the thresholds are genuinely crossed by
 		// a single vertex, which on non-trivial graphs means top-down.
-		tr, err := TraceFrom(g, src)
+		tr, err := TraceFrom(context.Background(), g, src, nil, nil)
 		if err != nil {
 			t.Fatalf("TraceFrom: %v", err)
 		}

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -57,11 +58,11 @@ func TestAlphaBetaPhases(t *testing.T) {
 
 func TestAlphaBetaTraversalCorrect(t *testing.T) {
 	g := testRMAT(t, 10, 16, 3)
-	want, err := Serial(g, 0)
+	want, err := SerialEngine().Run(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(g, 0, Options{Policy: NewAlphaBeta(0, 0), Workers: 2})
+	got, err := Run(context.Background(), g, 0, Options{Policy: NewAlphaBeta(0, 0), Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +98,11 @@ func TestHongHybridNeverSwitchesBack(t *testing.T) {
 
 func TestHongHybridTraversalCorrect(t *testing.T) {
 	g := testRMAT(t, 10, 8, 5)
-	want, err := Serial(g, 1)
+	want, err := SerialEngine().Run(g, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(g, 1, Options{Policy: NewHongHybrid(), Workers: 0})
+	got, err := Run(context.Background(), g, 1, Options{Policy: NewHongHybrid(), Workers: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestDegenerateParametersFallBack(t *testing.T) {
 
 	// Run still rejects an unusable MN policy up front: the fallback
 	// is for direct Choose callers, not a license for bad config.
-	if _, err := Run(pathGraph(t, 3), 0, Options{Policy: MN{M: -1, N: -1}}); err == nil {
+	if _, err := Run(context.Background(), pathGraph(t, 3), 0, Options{Policy: MN{M: -1, N: -1}}, nil); err == nil {
 		t.Error("Run accepted negative MN policy")
 	}
 }

@@ -35,7 +35,7 @@ func firstUsableB(tb testing.TB, g *graph.CSR) int32 {
 
 // TestRunAllocsNopRecorder extends the steady-state allocation gate to
 // the telemetry seam: threading an explicit obs.Nop recorder through
-// RunWithContext must stay as alloc-free as passing no recorder at
+// Run must stay as alloc-free as passing no recorder at
 // all, at one worker and at two. This is the contract
 // OBSERVABILITY.md promises — the default path pays for observability
 // only when a live recorder is attached.
@@ -50,7 +50,7 @@ func TestRunAllocsNopRecorder(t *testing.T) {
 			opts.Recorder, opts.Label = obs.Nop, "gate"
 			ws := NewWorkspace(c.g.NumVertices())
 			run := func() {
-				if _, err := RunWithContext(ctx, c.g, c.src, opts, ws); err != nil {
+				if _, err := Run(ctx, c.g, c.src, opts, ws); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -87,13 +87,13 @@ func benchRecorder(b *testing.B, rec obs.Recorder, workers int) {
 	ctx := context.Background()
 	// Warmup grows the workspace queues to this graph's working set so
 	// allocs/op reflects steady state, not first-run growth.
-	if _, err := RunWithContext(ctx, g, src, opts, ws); err != nil {
+	if _, err := Run(ctx, g, src, opts, ws); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunWithContext(ctx, g, src, opts, ws); err != nil {
+		if _, err := Run(ctx, g, src, opts, ws); err != nil {
 			b.Fatal(err)
 		}
 	}

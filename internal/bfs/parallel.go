@@ -70,7 +70,6 @@ type levelArgs struct {
 	r                    *Result
 	visited, front, next *bitmap.Bitmap
 	queue                []int32
-	prefix               []int64   // edge-parallel degree prefix sum
 	locals               [][]int32 // per-worker top-down output shards
 	level                int32
 
@@ -121,7 +120,7 @@ func (f *fanout) release() {
 	f.ctx, f.fn, f.err = nil, nil, nil
 	a := &f.args
 	a.g, a.r, a.visited, a.front, a.next = nil, nil, nil, nil, nil
-	a.queue, a.prefix, a.locals = nil, nil, nil
+	a.queue, a.locals = nil, nil
 }
 
 // ranInline records a level that ran its serial kernel inline.

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -39,20 +40,25 @@ func TestPropertyAllEnginesAgree(t *testing.T) {
 		n := 1 + float64(nRaw%512)
 		workers := int(workersRaw%4) + 1
 
-		want, err := Serial(g, src)
+		want, err := SerialEngine().Run(g, src, nil)
 		if err != nil {
 			return false
 		}
 		runs := []func() (*Result, error){
-			func() (*Result, error) { return RunTopDown(g, src, workers) },
-			func() (*Result, error) { return RunBottomUp(g, src, workers) },
-			func() (*Result, error) { return RunTopDownEdgeParallel(g, src, workers) },
-			func() (*Result, error) { return Hybrid(g, src, m, n, workers) },
 			func() (*Result, error) {
-				return Run(g, src, Options{Policy: NewAlphaBeta(float64(1+mRaw%30), float64(1+nRaw%40)), Workers: workers})
+				return Run(context.Background(), g, src, Options{Policy: AlwaysTopDown, Workers: workers}, nil)
 			},
 			func() (*Result, error) {
-				return Run(g, src, Options{Policy: NewHongHybrid(), Workers: workers})
+				return Run(context.Background(), g, src, Options{Policy: AlwaysBottomUp, Workers: workers}, nil)
+			},
+			func() (*Result, error) {
+				return Run(context.Background(), g, src, Options{Policy: MN{M: m, N: n}, Workers: workers}, nil)
+			},
+			func() (*Result, error) {
+				return Run(context.Background(), g, src, Options{Policy: NewAlphaBeta(float64(1+mRaw%30), float64(1+nRaw%40)), Workers: workers}, nil)
+			},
+			func() (*Result, error) {
+				return Run(context.Background(), g, src, Options{Policy: NewHongHybrid(), Workers: workers}, nil)
 			},
 		}
 		for _, run := range runs {
@@ -90,7 +96,7 @@ func TestPropertyTraceConsistency(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tr, err := TraceFrom(g, src)
+		tr, err := TraceFrom(context.Background(), g, src, nil, nil)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"context"
 	"testing"
 )
 
@@ -17,13 +18,13 @@ func TestDegreeOrderingReducesScans(t *testing.T) {
 			break
 		}
 	}
-	base, err := TraceFrom(g, src)
+	base, err := TraceFrom(context.Background(), g, src, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	reordered := g.Clone().SortNeighborsByDegree()
-	res, err := RunBottomUp(reordered, src, 1)
+	res, err := Run(context.Background(), reordered, src, Options{Policy: AlwaysBottomUp, Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +37,9 @@ func TestDegreeOrderingReducesScans(t *testing.T) {
 	}
 
 	// Identical traversal structure (level sets unchanged).
-	if after.Reachable != base.Reachable || after.NumSteps() != base.NumSteps() {
+	if after.Reachable != base.Reachable || len(after.Steps) != len(base.Steps) {
 		t.Fatalf("reordering changed the traversal: %d/%d steps, %d/%d reachable",
-			after.NumSteps(), base.NumSteps(), after.Reachable, base.Reachable)
+			len(after.Steps), len(base.Steps), after.Reachable, base.Reachable)
 	}
 	var baseScans, afterScans int64
 	for i := range base.Steps {

@@ -44,64 +44,38 @@ func (o ManyOptions) withDefaults() ManyOptions {
 	return o
 }
 
-// RunMany traverses g from every root and returns one durable Result
-// per root, in root order — the batched shape the Graph 500 runner
-// (64 search keys on one graph) and the tuner's labelling sweeps need.
+// RunMany traverses g from every root and streams each result to
+// fn(i, roots[i], r) without copying: r aliases the traversal's
+// workspace and is valid only for the duration of the call (Clone it
+// to keep it). fn may run concurrently from multiple goroutines when
+// Concurrency != 1. This is the batched shape the Graph 500 runner
+// (64 search keys on one graph) and serve's multi-source queries use.
 // Workspace acquisition is amortized across the batch: each in-flight
 // worker checks one workspace out of the pool and reuses it for all
-// the roots it claims. The results are deep copies that own their
-// memory; callers that can consume each result in place should use
-// RunManyFunc, which skips the copies entirely.
+// the roots it claims.
 //
 // With the default parallel kernels, per-root results are
 // deterministic in their Level maps and validity but may differ in
-// tie-broken Parent choices run to run, exactly as repeated Run calls
-// do; with Workers: 1 engines, RunMany(g, roots) is element-wise
-// identical to len(roots) independent Run calls.
-func RunMany(g *graph.CSR, roots []int32, opts ManyOptions) ([]*Result, error) {
-	return RunManyContext(context.Background(), g, roots, opts)
-}
-
-// RunManyContext is RunMany under a context; see RunManyFuncContext
-// for the cancellation contract.
-func RunManyContext(ctx context.Context, g *graph.CSR, roots []int32, opts ManyOptions) ([]*Result, error) {
-	results := make([]*Result, len(roots))
-	err := RunManyFuncContext(ctx, g, roots, opts, func(i int, _ int32, r *Result) error {
-		results[i] = r.Clone() //lint:shared-ok the atomic root cursor hands index i to exactly one callback
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// RunManyFunc traverses g from every root and streams each result to
-// fn(i, roots[i], r) without copying: r aliases the traversal's
-// workspace and is valid only for the duration of the call. fn may run
-// concurrently from multiple goroutines when Concurrency != 1.
+// tie-broken Parent choices run to run, exactly as repeated engine
+// runs do; with Workers: 1 engines, each delivered result is identical
+// to an independent run from that root.
 //
 // Delivery guarantees:
 //
 //   - Each index is delivered AT MOST once, so indexed writes to
 //     caller-owned slices are safe without locking.
 //   - When no error occurs, every index is delivered exactly once.
-//   - The batch fails fast: the first error — from a traversal or from
-//     fn — stops the dispatch of further roots, and the claim of any
-//     root not yet started is abandoned. Roots whose traversal was
-//     already in flight when the error surfaced finish and are
-//     delivered (or discarded if their own traversal errored); no new
-//     ones begin. The first error is returned.
-func RunManyFunc(g *graph.CSR, roots []int32, opts ManyOptions, fn func(i int, root int32, r *Result) error) error {
-	return RunManyFuncContext(context.Background(), g, roots, opts, fn)
-}
-
-// RunManyFuncContext is RunManyFunc under a context. Cancellation is
-// treated exactly like a callback error: in-flight traversals stop at
-// their next level/grain boundary, no new roots are dispatched, and
-// ctx.Err() is returned. Every worker goroutine has exited and every
-// workspace is back in the pool (clean) by the time it returns.
-func RunManyFuncContext(ctx context.Context, g *graph.CSR, roots []int32, opts ManyOptions, fn func(i int, root int32, r *Result) error) error {
+//   - The batch fails fast: the first error — from a traversal, from
+//     fn, or from ctx — stops the dispatch of further roots, and the
+//     claim of any root not yet started is abandoned. Roots whose
+//     traversal was already in flight when the error surfaced finish
+//     (a cancelled ctx stops them at their next level/grain boundary)
+//     and are delivered, or discarded if their own traversal errored;
+//     no new ones begin. The first error is returned, ctx.Err() on
+//     cancellation.
+//   - Every worker goroutine has exited and every workspace is back in
+//     the pool (clean) by the time it returns.
+func RunMany(ctx context.Context, g *graph.CSR, roots []int32, opts ManyOptions, fn func(i int, root int32, r *Result) error) error {
 	opts = opts.withDefaults()
 	if len(roots) == 0 {
 		return ctx.Err()

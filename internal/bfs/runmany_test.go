@@ -1,10 +1,13 @@
 package bfs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"crossbfs/internal/graph"
 )
 
 // sampleRoots picks up to max distinct non-isolated vertices, evenly
@@ -32,6 +35,20 @@ func sampleRoots(t *testing.T, g interface {
 	return roots
 }
 
+// runManyCloned runs RunMany and keeps a durable clone of each
+// delivered result, in root order.
+func runManyCloned(g *graph.CSR, roots []int32, opts ManyOptions) ([]*Result, error) {
+	results := make([]*Result, len(roots))
+	err := RunMany(context.Background(), g, roots, opts, func(i int, _ int32, r *Result) error {
+		results[i] = r.Clone()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
 // TestRunManyMatchesIndependentRuns is the batching property test:
 // with a deterministic (Workers: 1) engine, RunMany over N roots is
 // element-wise identical to N independent Run calls, at every
@@ -41,7 +58,7 @@ func TestRunManyMatchesIndependentRuns(t *testing.T) {
 	roots := sampleRoots(t, g, 12)
 	for _, e := range []Engine{SerialEngine(), HybridEngine(64, 64, 1)} {
 		for _, conc := range []int{1, 4, 0} {
-			got, err := RunMany(g, roots, ManyOptions{Engine: e, Concurrency: conc})
+			got, err := runManyCloned(g, roots, ManyOptions{Engine: e, Concurrency: conc})
 			if err != nil {
 				t.Fatalf("%s conc=%d: %v", e.Name(), conc, err)
 			}
@@ -65,12 +82,12 @@ func TestRunManyMatchesIndependentRuns(t *testing.T) {
 func TestRunManyParallelEnginesValid(t *testing.T) {
 	g := testRMAT(t, 10, 8, 4)
 	roots := sampleRoots(t, g, 8)
-	results, err := RunMany(g, roots, ManyOptions{})
+	results, err := runManyCloned(g, roots, ManyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, root := range roots {
-		want, err := Serial(g, root)
+		want, err := SerialEngine().Run(g, root, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +104,7 @@ func TestRunManyFuncDeliversEachIndexOnce(t *testing.T) {
 	g := testRMAT(t, 9, 8, 1)
 	roots := sampleRoots(t, g, 16)
 	counts := make([]atomic.Int32, len(roots))
-	err := RunManyFunc(g, roots, ManyOptions{Concurrency: 4}, func(i int, root int32, r *Result) error {
+	err := RunMany(context.Background(), g, roots, ManyOptions{Concurrency: 4}, func(i int, root int32, r *Result) error {
 		if roots[i] != root {
 			return fmt.Errorf("callback got root %d at index %d, want %d", root, i, roots[i])
 		}
@@ -112,7 +129,7 @@ func TestRunManyPropagatesCallbackError(t *testing.T) {
 	roots := []int32{0, 5, 10, 15}
 	sentinel := errors.New("boom")
 	for _, conc := range []int{1, 3} {
-		err := RunManyFunc(g, roots, ManyOptions{Concurrency: conc}, func(i int, _ int32, _ *Result) error {
+		err := RunMany(context.Background(), g, roots, ManyOptions{Concurrency: conc}, func(i int, _ int32, _ *Result) error {
 			if i == 2 {
 				return sentinel
 			}
@@ -132,7 +149,7 @@ func TestRunManyFuncFailFastSequential(t *testing.T) {
 	roots := []int32{0, 3, 6, 9, 12, 15}
 	sentinel := errors.New("boom")
 	var seen []int
-	err := RunManyFunc(g, roots, ManyOptions{Concurrency: 1}, func(i int, _ int32, _ *Result) error {
+	err := RunMany(context.Background(), g, roots, ManyOptions{Concurrency: 1}, func(i int, _ int32, _ *Result) error {
 		seen = append(seen, i)
 		if i == 2 {
 			return sentinel
@@ -158,7 +175,7 @@ func TestRunManyFuncFailFastConcurrent(t *testing.T) {
 	sentinel := errors.New("boom")
 	counts := make([]atomic.Int32, len(roots))
 	var delivered atomic.Int64
-	err := RunManyFunc(g, roots, ManyOptions{Concurrency: 8}, func(i int, _ int32, _ *Result) error {
+	err := RunMany(context.Background(), g, roots, ManyOptions{Concurrency: 8}, func(i int, _ int32, _ *Result) error {
 		counts[i].Add(1)
 		if delivered.Add(1) == 1 {
 			return sentinel
@@ -181,7 +198,7 @@ func TestRunManyFuncFailFastConcurrent(t *testing.T) {
 func TestRunManyPropagatesEngineError(t *testing.T) {
 	g := pathGraph(t, 6)
 	for _, conc := range []int{1, 2} {
-		_, err := RunMany(g, []int32{0, 99, 3}, ManyOptions{Concurrency: conc})
+		err := RunMany(context.Background(), g, []int32{0, 99, 3}, ManyOptions{Concurrency: conc}, func(int, int32, *Result) error { return nil })
 		if err == nil {
 			t.Errorf("conc=%d: out-of-range root accepted", conc)
 		}
@@ -190,11 +207,15 @@ func TestRunManyPropagatesEngineError(t *testing.T) {
 
 func TestRunManyEmptyRoots(t *testing.T) {
 	g := pathGraph(t, 4)
-	results, err := RunMany(g, nil, ManyOptions{})
+	delivered := 0
+	err := RunMany(context.Background(), g, nil, ManyOptions{}, func(int, int32, *Result) error {
+		delivered++
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 0 {
-		t.Fatalf("got %d results for zero roots", len(results))
+	if delivered != 0 {
+		t.Fatalf("got %d results for zero roots", delivered)
 	}
 }

@@ -67,10 +67,11 @@ const (
 // |E|cq >= |E|/M or |V|cq >= |V|/N, top-down otherwise. Larger M or N
 // switches to bottom-up earlier. Both must be positive; a
 // non-positive or NaN threshold makes Choose fall back to the
-// DefaultM/DefaultN constants (Run still rejects such a policy up
-// front via Validate — the fallback exists for direct Choose callers
-// like the simulator's policy replay, where a degenerate M would
-// otherwise silently disable bottom-up through a division by zero).
+// DefaultM/DefaultN constants. Run and the sharded engine still
+// reject such a policy up front via Validate; the fallback exists for
+// direct Choose callers like the simulator's policy replay, where a
+// degenerate M would otherwise silently disable bottom-up through a
+// division by zero.
 type MN struct {
 	M, N float64
 }
@@ -138,33 +139,15 @@ type Options struct {
 // Run executes a level-synchronized BFS from source, choosing the
 // direction of each step with opts.Policy and switching the frontier
 // representation (queue for top-down, bitmap for bottom-up) as needed.
-// Each call allocates one-shot buffers; repeated-traversal callers
-// should prefer RunWith (or RunMany) with a pooled Workspace.
-func Run(g *graph.CSR, source int32, opts Options) (*Result, error) {
-	return RunWithContext(context.Background(), g, source, opts, nil)
-}
-
-// RunWith is Run with an explicit traversal workspace: every buffer —
-// the result's parent/level maps, both frontier queues, the worker
-// shards, and the visited/frontier bitmaps — comes from ws and is
-// reset, not reallocated, so steady-state repeated traversals allocate
-// nothing. ws may be nil (a one-shot workspace is created). The
-// returned Result aliases ws's storage and is valid only until ws's
-// next traversal; Clone it for durability.
-func RunWith(g *graph.CSR, source int32, opts Options, ws *Workspace) (*Result, error) {
-	return RunWithContext(context.Background(), g, source, opts, ws)
-}
-
-// RunContext is Run under a context: the traversal observes ctx at
-// every level boundary and (in the parallel kernels) at every grain
-// boundary, returning ctx.Err() — context.Canceled or
-// context.DeadlineExceeded — promptly after cancellation.
-func RunContext(ctx context.Context, g *graph.CSR, source int32, opts Options) (*Result, error) {
-	return RunWithContext(ctx, g, source, opts, nil)
-}
-
-// RunWithContext is the full-control traversal entry point: RunWith
-// plus cancellation, deadline enforcement, and panic containment.
+// It is the one policy-driven traversal: every policy engine, the
+// simulator's resilient executor and core.Measure run through it.
+//
+// Every buffer — the result's parent/level maps, both frontier queues,
+// the worker shards, and the visited/frontier bitmaps — comes from ws
+// and is reset, not reallocated, so steady-state repeated traversals
+// allocate nothing. ws may be nil (a one-shot workspace is created).
+// The returned Result aliases ws's storage and is valid only until
+// ws's next traversal; Clone it for durability.
 //
 // Fault-tolerance contract:
 //
@@ -181,7 +164,7 @@ func RunContext(ctx context.Context, g *graph.CSR, source int32, opts Options) (
 //     goroutine holds a reference, and the next ws.begin fully resets
 //     it, so a recycled post-cancel workspace behaves bit-identically
 //     to a fresh one.
-func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Options, ws *Workspace) (_ *Result, err error) {
+func Run(ctx context.Context, g *graph.CSR, source int32, opts Options, ws *Workspace) (_ *Result, err error) {
 	var (
 		o    tobs
 		done *Result
@@ -342,10 +325,4 @@ func (o Options) label() string {
 		return o.Label
 	}
 	return "policy"
-}
-
-// Hybrid runs the direction-optimizing combination with the paper's
-// (M, N) switching rule.
-func Hybrid(g *graph.CSR, source int32, m, n float64, workers int) (*Result, error) {
-	return Run(g, source, Options{Policy: MN{M: m, N: n}, Workers: workers})
 }

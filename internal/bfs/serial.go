@@ -21,18 +21,13 @@ func (serialEngine) Name() string { return "serial" }
 
 // Run implements Engine.
 func (e serialEngine) Run(g *graph.CSR, source int32, ws *Workspace) (*Result, error) {
-	return e.RunContext(context.Background(), g, source, ws)
+	return e.RunObserved(context.Background(), g, source, ws, nil)
 }
 
-// RunContext implements Engine. The serial kernel has no goroutines
-// to contain, so cancellation is observed once per level.
-func (e serialEngine) RunContext(ctx context.Context, g *graph.CSR, source int32, ws *Workspace) (*Result, error) {
-	return e.RunObserved(ctx, g, source, ws, nil)
-}
-
-// RunObserved implements Engine. Serial levels are all top-down, so
-// the event stream has no switch events; per-level events still carry
-// the exact |V|cq and per-step wall time.
+// RunObserved implements Engine. The serial kernel has no goroutines
+// to contain, so cancellation is observed once per level. Serial
+// levels are all top-down, so the event stream has no switch events;
+// per-level events still carry the exact |V|cq and per-step wall time.
 func (e serialEngine) RunObserved(ctx context.Context, g *graph.CSR, source int32, ws *Workspace, rec obs.Recorder) (_ *Result, err error) {
 	var (
 		o    tobs
@@ -99,10 +94,4 @@ func (e serialEngine) RunObserved(ctx context.Context, g *graph.CSR, source int3
 	r.VisitedCount = int64(g.NumVertices()) - unvisited
 	done = r
 	return r, nil
-}
-
-// Serial runs a textbook queue-based BFS from source with one-shot
-// buffers — the free-function form of SerialEngine.
-func Serial(g *graph.CSR, source int32) (*Result, error) {
-	return serialEngine{}.Run(g, source, nil)
 }

@@ -47,12 +47,10 @@ import (
 // edge). `make race` runs this engine through the sharded tests.
 type Sharded struct {
 	ranks int
-	// policy/newPolicy mirror policyEngine: exactly one policy instance
-	// decides for all ranks each traversal (the collective's leader
-	// calls Choose once per level), so stateful heuristics see the same
-	// step sequence they would see on one box.
+	// policy decides for all ranks: the collective's leader calls
+	// Choose once per level, so the direction sequence matches what
+	// the same policy picks on one box.
 	policy          Policy
-	newPolicy       func() Policy
 	name            string
 	checkInvariants bool
 
@@ -81,17 +79,6 @@ func NewShardedEngine(ranks int, m, n float64) *Sharded {
 	}
 }
 
-// NewShardedAdaptive returns a partitioned engine around a stateful
-// switching heuristic: newPolicy runs once per traversal and the
-// resulting policy instance makes every level's collective decision.
-func NewShardedAdaptive(ranks int, inner string, newPolicy func() Policy) *Sharded {
-	return &Sharded{
-		ranks:     ranks,
-		newPolicy: newPolicy,
-		name:      fmt.Sprintf("sharded(%d,%s)", ranks, inner),
-	}
-}
-
 // Ranks returns the engine's rank count.
 func (e *Sharded) Ranks() int { return e.ranks }
 
@@ -115,12 +102,7 @@ func (e *Sharded) Name() string { return e.name }
 
 // Run implements Engine.
 func (e *Sharded) Run(g *graph.CSR, source int32, ws *Workspace) (*Result, error) {
-	return e.RunContext(context.Background(), g, source, ws)
-}
-
-// RunContext implements Engine.
-func (e *Sharded) RunContext(ctx context.Context, g *graph.CSR, source int32, ws *Workspace) (*Result, error) {
-	return e.RunObserved(ctx, g, source, ws, nil)
+	return e.RunObserved(context.Background(), g, source, ws, nil)
 }
 
 // partition returns the cached partition of g, building it on first
@@ -140,7 +122,7 @@ func (e *Sharded) partition(g *graph.CSR) (*part.Partitioned, error) {
 }
 
 // RunObserved implements Engine. It carries the same fault-tolerance
-// contract as RunWithContext: ctx.Err() verbatim on cancellation
+// contract as the policy runner Run: ctx.Err() verbatim on cancellation
 // (honored within ctxStride kernel iterations), contained panics as
 // *PanicError, and a quiescent, pool-clean workspace on every exit —
 // all rank goroutines have terminated before any error returns.
@@ -161,9 +143,6 @@ func (e *Sharded) RunObserved(ctx context.Context, g *graph.CSR, source int32, w
 		return nil, fmt.Errorf("bfs: sharded engine needs >= 1 rank, got %d", e.ranks)
 	}
 	pol := e.policy
-	if e.newPolicy != nil {
-		pol = e.newPolicy()
-	}
 	if pol == nil {
 		pol = AlwaysTopDown
 	}

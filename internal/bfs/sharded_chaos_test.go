@@ -48,7 +48,7 @@ func TestShardedChaosMatchesSerial(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for name, g := range shardedTestGraphs(t) {
 		src := firstUsable(t, g)
-		want, err := Serial(g, src)
+		want, err := SerialEngine().Run(g, src, nil)
 		if err != nil {
 			t.Fatalf("%s: Serial: %v", name, err)
 		}
@@ -128,7 +128,7 @@ func TestShardedChaosDeterministicReplay(t *testing.T) {
 		g := all[name]
 		uniqueParents := tc.uniqueParents
 		src := firstUsable(t, g)
-		want, err := Serial(g, src)
+		want, err := SerialEngine().Run(g, src, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestShardedChaosTotalCollapse(t *testing.T) {
 	base := runtime.NumGoroutine()
 	g := testRMAT(t, 10, 8, 11)
 	src := firstUsable(t, g)
-	want, err := Serial(g, src)
+	want, err := SerialEngine().Run(g, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestShardedChaosWatchdogFencesLaggard(t *testing.T) {
 	base := runtime.NumGoroutine()
 	g := testRMAT(t, 9, 8, 5)
 	src := firstUsable(t, g)
-	want, err := Serial(g, src)
+	want, err := SerialEngine().Run(g, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestShardedChaosContextCancel(t *testing.T) {
 	cancel()
 	e := NewShardedEngine(4, 14, 24)
 	e.SetFaults(mustParseFaults(t, "ranklag:1x2@1;exchdrop:0.2", 7))
-	_, err := e.RunContext(ctx, g, src, nil)
+	_, err := e.RunObserved(ctx, g, src, nil, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

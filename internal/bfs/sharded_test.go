@@ -55,7 +55,7 @@ func shardedTestGraphs(t *testing.T) map[string]*graph.CSR {
 func TestShardedMatchesSerial(t *testing.T) {
 	for name, g := range shardedTestGraphs(t) {
 		src := firstUsable(t, g)
-		want, err := Serial(g, src)
+		want, err := SerialEngine().Run(g, src, nil)
 		if err != nil {
 			t.Fatalf("%s: Serial: %v", name, err)
 		}
@@ -94,7 +94,7 @@ func TestShardedDirectionsMatchHybrid(t *testing.T) {
 	for name, g := range shardedTestGraphs(t) {
 		src := firstUsable(t, g)
 		for _, mn := range [][2]float64{{14, 24}, {64, 64}, {4, 4}} {
-			want, err := Hybrid(g, src, mn[0], mn[1], 1)
+			want, err := Run(context.Background(), g, src, Options{Policy: MN{M: mn[0], N: mn[1]}, Workers: 1}, nil)
 			if err != nil {
 				t.Fatalf("%s: Hybrid: %v", name, err)
 			}
@@ -271,7 +271,7 @@ func TestShardedObservedEvents(t *testing.T) {
 func TestShardedCancelMidTraversal(t *testing.T) {
 	g := testRMAT(t, 10, 8, 2)
 	src := firstUsable(t, g)
-	want, err := Serial(g, src)
+	want, err := SerialEngine().Run(g, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestShardedCancelMidTraversal(t *testing.T) {
 		// per level each, this lands mid-traversal, often mid-exchange.
 		for _, after := range []int{1, 2, 4} {
 			ctx := newStepCancelCtx(after)
-			r, err := e.RunContext(ctx, g, src, ws)
+			r, err := e.RunObserved(ctx, g, src, ws, nil)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("ranks=%d after=%d: err = %v, want context.Canceled", ranks, after, err)
 			}
@@ -309,14 +309,12 @@ func TestShardedPolicyPanicContained(t *testing.T) {
 	g := testRMAT(t, 9, 8, 2)
 	src := firstUsable(t, g)
 	base := runtime.NumGoroutine()
-	e := NewShardedAdaptive(4, "boom", func() Policy {
-		return PolicyFunc(func(s StepInfo) Direction {
-			if s.Step == 3 {
-				panic("collective kaboom")
-			}
-			return TopDown
-		})
-	})
+	e := &Sharded{ranks: 4, name: "boom", policy: PolicyFunc(func(s StepInfo) Direction {
+		if s.Step == 3 {
+			panic("collective kaboom")
+		}
+		return TopDown
+	})}
 	ws := NewWorkspace(g.NumVertices())
 	_, err := e.Run(g, src, ws)
 	var pe *PanicError
@@ -329,7 +327,7 @@ func TestShardedPolicyPanicContained(t *testing.T) {
 	settleGoroutines(t, "sharded panic", base)
 
 	// Workspace survives pool-clean.
-	want, err := Serial(g, src)
+	want, err := SerialEngine().Run(g, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

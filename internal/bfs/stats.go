@@ -58,10 +58,6 @@ type Trace struct {
 	Steps        []LevelStats
 }
 
-// NumSteps returns the number of expansion steps (the last step
-// expands the deepest frontier and discovers nothing).
-func (t *Trace) NumSteps() int { return len(t.Steps) }
-
 // Depth returns the largest BFS level reached.
 func (t *Trace) Depth() int {
 	if len(t.Steps) == 0 {
@@ -171,47 +167,23 @@ func ComputeTrace(g *graph.CSR, r *Result) (*Trace, error) {
 	return t, nil
 }
 
-// TraceFrom runs a BFS (serial reference) and returns its trace — the
-// usual entry point for experiment drivers.
-func TraceFrom(g *graph.CSR, source int32) (*Trace, error) {
-	return TraceFromWith(g, source, nil)
-}
-
-// TraceFromWith is TraceFrom with a reusable traversal workspace: the
-// serial reference BFS runs out of ws, so sweep drivers (the tuner's
-// corpus builder, the multi-root TEPS loops) stop reallocating the
-// traversal working set per root. The returned Trace owns its memory
-// and stays valid after ws is reused.
-func TraceFromWith(g *graph.CSR, source int32, ws *Workspace) (*Trace, error) {
-	r, err := SerialEngine().Run(g, source, ws)
-	if err != nil {
-		return nil, err
-	}
-	return ComputeTrace(g, r)
-}
-
-// TraceFromContext is TraceFromWith under a context: the reference
-// traversal checks ctx at every level boundary, so deadline-bound
-// drivers (bfsrun -timeout) abandon a too-large graph promptly instead
-// of tracing it to completion first.
-func TraceFromContext(ctx context.Context, g *graph.CSR, source int32, ws *Workspace) (*Trace, error) {
-	r, err := SerialEngine().RunContext(ctx, g, source, ws)
-	if err != nil {
-		return nil, err
-	}
-	return ComputeTrace(g, r)
-}
-
-// TraceFromObserved is TraceFromContext with a telemetry recorder on
-// the reference traversal, so drivers that both price plans and export
-// a trace file (bfsrun -trace) get the real per-level events and the
-// analytical Trace from one BFS instead of two.
+// TraceFrom runs the serial reference BFS from source and returns its
+// trace — the entry point for experiment drivers, the tuner's corpus
+// builder and bfsrun. ws may be nil; with a workspace, sweep drivers
+// stop reallocating the traversal working set per root, and the
+// returned Trace still owns its memory after ws is reused. The
+// reference traversal checks ctx at every level boundary, so
+// deadline-bound drivers (bfsrun -timeout) abandon a too-large graph
+// promptly. rec (nil for none) receives the reference traversal's
+// telemetry, so a driver that both prices plans and exports a trace
+// file gets the real per-level events and the analytical Trace from
+// one BFS.
 //
 // Note the division of labour: live per-level telemetry flows through
 // the Recorder as the traversal runs, while the Trace's exhaustive
 // work profile (|E|un, bottom-up scan counts for directions that did
 // not execute) is derived afterwards by ComputeTrace.
-func TraceFromObserved(ctx context.Context, g *graph.CSR, source int32, ws *Workspace, rec obs.Recorder) (*Trace, error) {
+func TraceFrom(ctx context.Context, g *graph.CSR, source int32, ws *Workspace, rec obs.Recorder) (*Trace, error) {
 	r, err := SerialEngine().RunObserved(ctx, g, source, ws, rec)
 	if err != nil {
 		return nil, err

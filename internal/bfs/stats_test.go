@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -12,12 +13,12 @@ import (
 
 func TestTracePath(t *testing.T) {
 	g := pathGraph(t, 4) // 0-1-2-3
-	tr, err := TraceFrom(g, 0)
+	tr, err := TraceFrom(context.Background(), g, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumSteps() != 4 || tr.Depth() != 3 {
-		t.Fatalf("steps %d depth %d, want 4/3", tr.NumSteps(), tr.Depth())
+	if len(tr.Steps) != 4 || tr.Depth() != 3 {
+		t.Fatalf("steps %d depth %d, want 4/3", len(tr.Steps), tr.Depth())
 	}
 	// Step 1: frontier {0} (deg 1), discovers {1}.
 	s := tr.Steps[0]
@@ -46,12 +47,12 @@ func TestTracePath(t *testing.T) {
 
 func TestTraceStar(t *testing.T) {
 	g := starGraph(t, 10)
-	tr, err := TraceFrom(g, 0)
+	tr, err := TraceFrom(context.Background(), g, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumSteps() != 2 {
-		t.Fatalf("steps = %d, want 2", tr.NumSteps())
+	if len(tr.Steps) != 2 {
+		t.Fatalf("steps = %d, want 2", len(tr.Steps))
 	}
 	s := tr.Steps[0]
 	if s.FrontierEdges != 9 || s.Discovered != 9 || s.MaxFrontierDegree != 9 {
@@ -74,7 +75,7 @@ func TestTraceInvariants(t *testing.T) {
 			return false
 		}
 		src := int32(rng.Intn(g.NumVertices()))
-		tr, err := TraceFrom(g, src)
+		tr, err := TraceFrom(context.Background(), g, src, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -146,7 +147,7 @@ func TestTraceMatchesKernelScans(t *testing.T) {
 				break
 			}
 		}
-		r, err := RunBottomUp(g, src, 1)
+		r, err := Run(context.Background(), g, src, Options{Policy: AlwaysBottomUp, Workers: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func TestTraceMatchesKernelScans(t *testing.T) {
 
 	g := ringGraph(t, buGrain+70)
 	for _, workers := range []int{1, 2, 4} {
-		r, err := RunBottomUp(g, 5, workers)
+		r, err := Run(context.Background(), g, 5, Options{Policy: AlwaysBottomUp, Workers: workers}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,15 +182,15 @@ func TestTraceMatchesKernelScans(t *testing.T) {
 func TestTraceDirectionIndependent(t *testing.T) {
 	g := testRMAT(t, 9, 16, 4)
 	src := int32(5)
-	serial, err := Serial(g, src)
+	serial, err := SerialEngine().Run(g, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bu, err := RunBottomUp(g, src, 2)
+	bu, err := Run(context.Background(), g, src, Options{Policy: AlwaysBottomUp, Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := Hybrid(g, src, 64, 64, 2)
+	hy, err := Run(context.Background(), g, src, Options{Policy: MN{M: 64, N: 64}, Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestTraceDirectionIndependent(t *testing.T) {
 
 func TestTraceRejectsInvalidResult(t *testing.T) {
 	g := pathGraph(t, 4)
-	r, err := Serial(g, 0)
+	r, err := SerialEngine().Run(g, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +228,12 @@ func TestTraceRejectsInvalidResult(t *testing.T) {
 
 func TestTraceIsolatedSource(t *testing.T) {
 	g := mustBuild(t, 5, []graph.Edge{{From: 1, To: 2}})
-	tr, err := TraceFrom(g, 0)
+	tr, err := TraceFrom(context.Background(), g, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumSteps() != 1 || tr.Reachable != 1 {
-		t.Errorf("isolated source trace: %d steps, %d reachable", tr.NumSteps(), tr.Reachable)
+	if len(tr.Steps) != 1 || tr.Reachable != 1 {
+		t.Errorf("isolated source trace: %d steps, %d reachable", len(tr.Steps), tr.Reachable)
 	}
 	s := tr.Steps[0]
 	if s.FrontierVertices != 1 || s.Discovered != 0 {

@@ -99,9 +99,3 @@ func topDownLevelSerial(g *graph.CSR, r *Result, visited *bitmap.Bitmap, queue, 
 	}
 	return out, degrees
 }
-
-// RunTopDown runs a pure top-down BFS (the paper's GPUTD/CPUTD
-// baseline algorithm). workers <= 0 uses GOMAXPROCS.
-func RunTopDown(g *graph.CSR, source int32, workers int) (*Result, error) {
-	return Run(g, source, Options{Policy: AlwaysTopDown, Workers: workers})
-}

@@ -11,8 +11,7 @@ import (
 // Workspace holds every per-traversal buffer a BFS engine needs:
 // the result's parent/level maps, the direction and scan logs, both
 // frontier queues, the per-worker output shards of the parallel
-// top-down kernels, the edge-parallel degree prefix sum, and the
-// visited/frontier/next bitmaps. It also owns the level dispatch
+// top-down kernels, and the visited/frontier/next bitmaps. It also owns the level dispatch
 // state (fanout): the scheduler, the kernel arguments and per-level
 // totals that a fan-out's workers share, the per-worker start
 // functions, and what the last level ran, so a fan-out allocates
@@ -26,7 +25,7 @@ import (
 //
 //   - The caller acquires a Workspace (NewWorkspace, or WorkspacePool.Get)
 //     and owns it until it releases it (WorkspacePool.Put).
-//   - The engine resets it: every Engine.Run / RunWith begins by
+//   - The engine resets it: every traversal begins by
 //     re-preparing all buffers for the new (graph, source), so a
 //     recycled Workspace can never leak prior traversal state.
 //   - A Result produced with a Workspace aliases the workspace's
@@ -56,9 +55,6 @@ type Workspace struct {
 	// hoisted here so they are built once per traversal set, not once
 	// per level.
 	locals [][]int32
-
-	// Edge-parallel degree prefix sum (one entry per frontier vertex).
-	prefix []int64
 
 	// visited is the claim bitmap; front/next are the bottom-up
 	// frontier representations.
@@ -160,14 +156,6 @@ func (w *Workspace) workerShards(k int) [][]int32 {
 		shards[i] = shards[i][:0]
 	}
 	return shards
-}
-
-// prefixBuf returns a length-k scratch slice for degree prefix sums.
-func (w *Workspace) prefixBuf(k int) []int64 {
-	if cap(w.prefix) < k {
-		w.prefix = make([]int64, k)
-	}
-	return w.prefix[:k]
 }
 
 // Clone returns a deep copy of r that aliases no workspace storage, so

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"context"
 	"testing"
 
 	"crossbfs/internal/graph"
@@ -81,10 +82,9 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 		SerialEngine(),
 		TopDownEngine(1),
 		BottomUpEngine(1),
-		EdgeParallelEngine(1),
 		HybridEngine(64, 64, 1),
-		BeamerEngine(0, 0, 1),
-		HongEngine(1),
+		beamerEngine(1),
+		hongEngine(1),
 	}
 	runs := []struct {
 		name string
@@ -219,7 +219,7 @@ func TestRunAllocsSteadyState(t *testing.T) {
 			}
 			ws := NewWorkspace(c.g.NumVertices())
 			run := func() {
-				if _, err := RunWith(c.g, c.src, c.opts, ws); err != nil {
+				if _, err := Run(context.Background(), c.g, c.src, c.opts, ws); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -228,7 +228,7 @@ func TestRunAllocsSteadyState(t *testing.T) {
 
 			pooled := testing.AllocsPerRun(5, run)
 			unpooled := testing.AllocsPerRun(5, func() {
-				if _, err := Run(c.g, c.src, c.opts); err != nil {
+				if _, err := Run(context.Background(), c.g, c.src, c.opts, nil); err != nil {
 					t.Fatal(err)
 				}
 			})

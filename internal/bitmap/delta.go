@@ -18,12 +18,6 @@ import (
 // saturated mid-levels it degrades to ~9/8 of dense, which the fabric
 // model prices honestly either way.
 
-// NumWords returns the number of 64-bit backing words.
-func (b *Bitmap) NumWords() int { return len(b.words) }
-
-// Word returns backing word i (bits [64i, 64i+64)).
-func (b *Bitmap) Word(i int) uint64 { return b.words[i] }
-
 // tailMask returns the valid-bit mask for word i: all ones except in
 // the final word of a bitmap whose length is not a multiple of 64.
 func (b *Bitmap) tailMask(i int) uint64 {
@@ -45,14 +39,6 @@ func (b *Bitmap) SetWord(i int, w uint64) {
 // ownership contract as SetWord.
 func (b *Bitmap) OrWord(i int, w uint64) {
 	b.words[i] |= w & b.tailMask(i) //lint:shared-ok single-writer API by contract: callers own word i exclusively (word-aligned rank ranges)
-}
-
-// ClearWords zeroes backing words [lo, hi). Same ownership contract as
-// SetWord.
-func (b *Bitmap) ClearWords(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		b.words[i] = 0 //lint:shared-ok single-writer API by contract: callers own [lo,hi) exclusively (word-aligned rank ranges)
-	}
 }
 
 // CountWords returns the number of set bits in backing words [lo, hi).
@@ -105,7 +91,7 @@ func (b *Bitmap) AppendDelta(dst []byte, lo, hi int) []byte {
 // ApplyDelta ORs a delta produced by AppendDelta into b, interpreting
 // indices relative to base word lo. It returns the number of words
 // OR'd. Malformed input — truncated varints, trailing bytes, or an
-// index beyond NumWords() — returns an error with b left partially
+// index beyond the backing words — returns an error with b left partially
 // updated (frontier union is idempotent, so callers simply abort the
 // traversal). Same ownership contract as OrWord: the caller must own
 // the destination words (each rank applies deltas into its private

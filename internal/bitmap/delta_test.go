@@ -8,29 +8,25 @@ import (
 
 func TestWordAccess(t *testing.T) {
 	b := New(130) // 3 words, 2-bit tail
-	if got := b.NumWords(); got != 3 {
-		t.Fatalf("NumWords = %d, want 3", got)
+	if got := len(b.words); got != 3 {
+		t.Fatalf("%d backing words, want 3", got)
 	}
 	b.SetWord(0, 0xDEADBEEF)
-	if b.Word(0) != 0xDEADBEEF {
-		t.Fatalf("Word(0) = %#x", b.Word(0))
+	if b.words[0] != 0xDEADBEEF {
+		t.Fatalf("Word(0) = %#x", b.words[0])
 	}
 	b.OrWord(0, 0xF000_0000)
-	if b.Word(0) != 0xFEADBEEF {
-		t.Fatalf("OrWord: Word(0) = %#x", b.Word(0))
+	if b.words[0] != 0xFEADBEEF {
+		t.Fatalf("OrWord: Word(0) = %#x", b.words[0])
 	}
 	// The tail word only holds 2 valid bits; the rest must be masked
 	// so Count stays exact.
 	b.SetWord(2, ^uint64(0))
-	if b.Word(2) != 0b11 {
-		t.Fatalf("tail word not masked: %#x", b.Word(2))
+	if b.words[2] != 0b11 {
+		t.Fatalf("tail word not masked: %#x", b.words[2])
 	}
 	if got := b.Count(); got != 25+2 { // popcount(0xFEADBEEF) + 2 tail bits
 		t.Fatalf("Count = %d, want 27", got)
-	}
-	b.ClearWords(0, 2)
-	if b.Word(0) != 0 || b.Word(1) != 0 || b.Word(2) != 0b11 {
-		t.Fatalf("ClearWords: %#x %#x %#x", b.Word(0), b.Word(1), b.Word(2))
 	}
 }
 
@@ -65,8 +61,8 @@ func TestDeltaRoundTrip(t *testing.T) {
 				src.Set(i)
 			}
 		}
-		lo := rng.Intn(src.NumWords() + 1)
-		hi := lo + rng.Intn(src.NumWords()-lo+1)
+		lo := rng.Intn(len(src.words) + 1)
+		hi := lo + rng.Intn(len(src.words)-lo+1)
 
 		delta := src.AppendDelta(nil, lo, hi)
 		dst := New(n)
@@ -76,19 +72,19 @@ func TestDeltaRoundTrip(t *testing.T) {
 		}
 		wantWords := 0
 		for wi := lo; wi < hi; wi++ {
-			if src.Word(wi) != 0 {
+			if src.words[wi] != 0 {
 				wantWords++
 			}
-			if dst.Word(wi) != src.Word(wi) {
-				t.Fatalf("n=%d lo=%d hi=%d: word %d = %#x, want %#x", n, lo, hi, wi, dst.Word(wi), src.Word(wi))
+			if dst.words[wi] != src.words[wi] {
+				t.Fatalf("n=%d lo=%d hi=%d: word %d = %#x, want %#x", n, lo, hi, wi, dst.words[wi], src.words[wi])
 			}
 		}
 		if applied != wantWords {
 			t.Fatalf("applied %d words, want %d", applied, wantWords)
 		}
-		for wi := 0; wi < dst.NumWords(); wi++ {
-			if (wi < lo || wi >= hi) && dst.Word(wi) != 0 {
-				t.Fatalf("delta leaked outside [%d,%d): word %d = %#x", lo, hi, wi, dst.Word(wi))
+		for wi := 0; wi < len(dst.words); wi++ {
+			if (wi < lo || wi >= hi) && dst.words[wi] != 0 {
+				t.Fatalf("delta leaked outside [%d,%d): word %d = %#x", lo, hi, wi, dst.words[wi])
 			}
 		}
 	}
@@ -101,7 +97,7 @@ func TestDeltaIsUnion(t *testing.T) {
 	a.Set(100)
 	b.Set(3)
 	b.Set(64)
-	delta := a.AppendDelta(nil, 0, a.NumWords())
+	delta := a.AppendDelta(nil, 0, len(a.words))
 	if _, err := b.ApplyDelta(delta, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +116,7 @@ func TestDeltaIsUnion(t *testing.T) {
 
 func TestDeltaEmpty(t *testing.T) {
 	b := New(512)
-	if d := b.AppendDelta(nil, 0, b.NumWords()); len(d) != 0 {
+	if d := b.AppendDelta(nil, 0, len(b.words)); len(d) != 0 {
 		t.Fatalf("empty range encoded to %d bytes", len(d))
 	}
 	if n, err := b.ApplyDelta(nil, 0); n != 0 || err != nil {
@@ -143,7 +139,7 @@ func TestApplyDeltaRejectsMalformed(t *testing.T) {
 		}
 	}
 	if _, err := b.ApplyDelta([]byte{0x00, 0x01}, 99); err == nil {
-		t.Error("base beyond NumWords accepted")
+		t.Error("base beyond the backing words accepted")
 	}
 	if _, err := b.ApplyDelta([]byte{0x00, 0x01}, -1); err == nil {
 		t.Error("negative base accepted")
@@ -185,23 +181,23 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 				}
 			}
 		}
-		loW := int(lo) % (src.NumWords() + 1)
+		loW := int(lo) % (len(src.words) + 1)
 		hiW := loW + int(span)
-		if hiW > src.NumWords() {
-			hiW = src.NumWords()
+		if hiW > len(src.words) {
+			hiW = len(src.words)
 		}
 		delta := src.AppendDelta(nil, loW, hiW)
 		dst := New(n)
 		if _, err := dst.ApplyDelta(delta, loW); err != nil {
 			t.Fatalf("round-trip ApplyDelta: %v", err)
 		}
-		for wi := 0; wi < src.NumWords(); wi++ {
+		for wi := 0; wi < len(src.words); wi++ {
 			want := uint64(0)
 			if wi >= loW && wi < hiW {
-				want = src.Word(wi)
+				want = src.words[wi]
 			}
-			if dst.Word(wi) != want {
-				t.Fatalf("word %d = %#x, want %#x", wi, dst.Word(wi), want)
+			if dst.words[wi] != want {
+				t.Fatalf("word %d = %#x, want %#x", wi, dst.words[wi], want)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -30,7 +31,7 @@ func testGraph(t *testing.T, scale, ef int, seed uint64) (*graph.CSR, int32) {
 func testTrace(t *testing.T, scale, ef int, seed uint64) *bfs.Trace {
 	t.Helper()
 	g, src := testGraph(t, scale, ef, seed)
-	tr, err := bfs.TraceFrom(g, src)
+	tr, err := bfs.TraceFrom(context.Background(), g, src, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +111,8 @@ func TestSimulateAccounting(t *testing.T) {
 	tr := testTrace(t, 9, 8, 1)
 	plan := Combination(archsim.SandyBridge(), 64, 64)
 	timing := Simulate(tr, plan, archsim.PCIe())
-	if len(timing.Steps) != tr.NumSteps() {
-		t.Fatalf("%d timing steps for %d trace steps", len(timing.Steps), tr.NumSteps())
+	if len(timing.Steps) != len(tr.Steps) {
+		t.Fatalf("%d timing steps for %d trace steps", len(timing.Steps), len(tr.Steps))
 	}
 	var total, transfers float64
 	for _, s := range timing.Steps {
@@ -190,14 +191,15 @@ func TestExecuteMatchesSimulate(t *testing.T) {
 		CrossPlan{Host: cpu, Coprocessor: gpu, M1: 64, N1: 64, M2: 64, N2: 64},
 	}
 	for _, plan := range plans {
-		res, tr, timing, err := Execute(g, src, plan, link, 2)
+		res, tr, timing, err := ExecuteResilient(context.Background(), g, src, plan, link, ResilientOptions{Workers: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", plan.Name(), err)
 		}
 		if err := bfs.Validate(g, res); err != nil {
 			t.Errorf("%s: result invalid: %v", plan.Name(), err)
 		}
-		// Execute's pricing must equal an independent Simulate replay.
+		// With no fault schedule, executing a plan must price it exactly
+		// as an independent Simulate replay does.
 		replay := Simulate(tr, plan, link)
 		if math.Abs(replay.Total-timing.Total) > 1e-12 {
 			t.Errorf("%s: execute %g != simulate %g", plan.Name(), timing.Total, replay.Total)
@@ -213,7 +215,7 @@ func TestPaperShape(t *testing.T) {
 		t.Skip("scale-17 graph generation in -short mode")
 	}
 	g, src := testGraph(t, 17, 16, 1)
-	tr, err := bfs.TraceFrom(g, src)
+	tr, err := bfs.TraceFrom(context.Background(), g, src, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

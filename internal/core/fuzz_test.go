@@ -38,7 +38,7 @@ func fuzzSetup() {
 				break
 			}
 		}
-		fuzzRef, fuzzErr = bfs.Serial(fuzzG, fuzzSrc)
+		fuzzRef, fuzzErr = bfs.SerialEngine().Run(fuzzG, fuzzSrc, nil)
 	})
 }
 

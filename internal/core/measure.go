@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -33,17 +34,12 @@ func (m *MeasuredTiming) TEPS() float64 {
 // the result plus wall-clock timings. Per-level times are captured at
 // policy decision points (each level's expansion runs between two
 // consecutive decisions), so the breakdown mirrors Table IV's rows for
-// the host hardware this library actually runs on.
-func Measure(g *graph.CSR, source int32, policy bfs.Policy, policyName string, workers int) (*bfs.Result, *MeasuredTiming, error) {
-	return MeasureWith(g, source, policy, policyName, workers, nil)
-}
-
-// MeasureWith is Measure with a reusable traversal workspace, the form
-// repeated-measurement loops (the Graph 500 real-mode runner) should
-// use: the traversal allocates nothing in steady state, so the wall
+// the host hardware this library actually runs on. ws may be nil;
+// repeated-measurement loops (the Graph 500 real-mode runner) pass one
+// so the traversal allocates nothing in steady state and the wall
 // times reflect kernel work rather than allocator and GC noise. The
-// returned Result aliases ws; see bfs.RunWith.
-func MeasureWith(g *graph.CSR, source int32, policy bfs.Policy, policyName string, workers int, ws *bfs.Workspace) (*bfs.Result, *MeasuredTiming, error) {
+// returned Result aliases ws; see bfs.Run.
+func Measure(g *graph.CSR, source int32, policy bfs.Policy, policyName string, workers int, ws *bfs.Workspace) (*bfs.Result, *MeasuredTiming, error) {
 	if policy == nil {
 		return nil, nil, fmt.Errorf("core: nil policy")
 	}
@@ -53,7 +49,7 @@ func MeasureWith(g *graph.CSR, source int32, policy bfs.Policy, policyName strin
 		return policy.Choose(s)
 	})
 	start := time.Now()
-	res, err := bfs.RunWith(g, source, bfs.Options{Policy: wrapped, Workers: workers}, ws)
+	res, err := bfs.Run(context.Background(), g, source, bfs.Options{Policy: wrapped, Workers: workers}, ws)
 	end := time.Now()
 	if err != nil {
 		return nil, nil, err

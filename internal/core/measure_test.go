@@ -8,7 +8,7 @@ import (
 
 func TestMeasureHybrid(t *testing.T) {
 	g, src := testGraph(t, 12, 16, 1)
-	res, timing, err := Measure(g, src, bfs.MN{M: 64, N: 64}, "hybrid", 0)
+	res, timing, err := Measure(g, src, bfs.MN{M: 64, N: 64}, "hybrid", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,18 +41,18 @@ func TestMeasureHybrid(t *testing.T) {
 
 func TestMeasureNilPolicy(t *testing.T) {
 	g, src := testGraph(t, 8, 8, 1)
-	if _, _, err := Measure(g, src, nil, "x", 0); err == nil {
+	if _, _, err := Measure(g, src, nil, "x", 0, nil); err == nil {
 		t.Error("nil policy accepted")
 	}
 }
 
 func TestMeasureMatchesSerialLevels(t *testing.T) {
 	g, src := testGraph(t, 10, 8, 2)
-	want, err := bfs.Serial(g, src)
+	want, err := bfs.SerialEngine().Run(g, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := Measure(g, src, bfs.AlwaysTopDown, "td", 1)
+	res, _, err := Measure(g, src, bfs.AlwaysTopDown, "td", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -393,7 +393,7 @@ func ExecuteResilient(ctx context.Context, g *graph.CSR, source int32, plan Plan
 		Policy: policy, Workers: opts.Workers,
 		Recorder: runRec, Label: plan.Name(),
 	}
-	res, err := bfs.RunWithContext(ctx, g, source, runOpts, nil)
+	res, err := bfs.Run(ctx, g, source, runOpts, nil)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, nil, nil, ctxErr

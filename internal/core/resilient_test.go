@@ -69,7 +69,7 @@ func TestResilientGPUCrashAtHandoff(t *testing.T) {
 	link := archsim.PCIe()
 
 	// Find the handoff step on a clean run.
-	clean, err := bfs.TraceFrom(g, src)
+	clean, err := bfs.TraceFrom(context.Background(), g, src, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

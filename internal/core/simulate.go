@@ -1,12 +1,8 @@
 package core
 
 import (
-	"context"
-	"fmt"
-
 	"crossbfs/internal/archsim"
 	"crossbfs/internal/bfs"
-	"crossbfs/internal/graph"
 	"crossbfs/internal/obs"
 )
 
@@ -167,55 +163,4 @@ func SimulateObserved(tr *bfs.Trace, plan Plan, link archsim.Link, rec obs.Recor
 		t.Transfers += st.Transfer
 	}
 	return t
-}
-
-// Execute runs a plan for real: the decisions drive actual BFS kernels
-// on the host (producing a correct, validated predecessor/level map)
-// while the simulator prices each step. Returns the traversal result,
-// its trace, and the priced timing.
-func Execute(g *graph.CSR, source int32, plan Plan, link archsim.Link, workers int) (*bfs.Result, *bfs.Trace, *Timing, error) {
-	return ExecuteWith(g, source, plan, link, workers, nil)
-}
-
-// ExecuteWith is Execute with a reusable traversal workspace. The
-// returned Result aliases ws (see bfs.RunWith); the Trace and Timing
-// own their memory and survive workspace reuse.
-func ExecuteWith(g *graph.CSR, source int32, plan Plan, link archsim.Link, workers int, ws *bfs.Workspace) (*bfs.Result, *bfs.Trace, *Timing, error) {
-	return ExecuteObserved(context.Background(), g, source, plan, link, workers, ws, nil)
-}
-
-// ExecuteObserved is ExecuteWith under a context and a telemetry
-// recorder. One recorder receives both halves of the run: the real
-// host traversal's wall-clock events (traversal start/levels/end,
-// labelled with the plan's name) and the priced plan timeline on the
-// simulated clock (via SimulateObserved) — which is how a single
-// bfsrun -trace file can show the actual kernels next to the modeled
-// cross-architecture schedule.
-func ExecuteObserved(ctx context.Context, g *graph.CSR, source int32, plan Plan, link archsim.Link, workers int, ws *bfs.Workspace, rec obs.Recorder) (*bfs.Result, *bfs.Trace, *Timing, error) {
-	stepper := plan.Begin()
-	policy := bfs.PolicyFunc(func(s bfs.StepInfo) bfs.Direction {
-		return stepper.Place(s).Dir
-	})
-	opts := bfs.Options{Policy: policy, Workers: workers, Recorder: rec, Label: plan.Name()}
-	res, err := bfs.RunWithContext(ctx, g, source, opts, ws)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, nil, nil, ctxErr
-		}
-		return nil, nil, nil, fmt.Errorf("core: executing plan %s: %w", plan.Name(), err)
-	}
-	tr, err := bfs.ComputeTrace(g, res)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: tracing plan %s: %w", plan.Name(), err)
-	}
-	timing := SimulateObserved(tr, plan, link, rec)
-	// The replay must agree with what actually ran; a mismatch means a
-	// stateful plan behaved non-deterministically.
-	for i, st := range timing.Steps {
-		if res.Directions[i] != st.Dir {
-			return nil, nil, nil, fmt.Errorf("core: plan %s replay diverged at step %d (%s vs %s)",
-				plan.Name(), i+1, res.Directions[i], st.Dir)
-		}
-	}
-	return res, tr, timing, nil
 }

@@ -11,6 +11,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"crossbfs/internal/archsim"
@@ -90,7 +91,7 @@ func traceFromSampledRoot(g *graph.CSR, seed uint64) (*bfs.Trace, error) {
 	// experiment loops from churning the allocator.
 	ws := bfs.DefaultPool.Get(g.NumVertices())
 	defer bfs.DefaultPool.Put(ws)
-	return bfs.TraceFromWith(g, src, ws)
+	return bfs.TraceFrom(context.Background(), g, src, ws, nil)
 }
 
 func firstUsableSource(g *graph.CSR, seed uint64) (int32, bool) {

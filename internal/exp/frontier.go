@@ -42,21 +42,6 @@ func FrontierProfiles(scales []int, edgeFactor int, seed uint64) ([]FrontierProf
 	return out, nil
 }
 
-// PeaksInMiddle reports whether the profile has the Fig. 1/2 shape:
-// the maximum frontier is not at the first or last level.
-func (p FrontierProfile) PeaksInMiddle() bool {
-	if len(p.Steps) < 3 {
-		return false
-	}
-	peak := 0
-	for i, s := range p.Steps {
-		if s.FrontierVertices > p.Steps[peak].FrontierVertices {
-			peak = i
-		}
-	}
-	return peak > 0 && peak < len(p.Steps)-1
-}
-
 // DirectionTimes is one row of Fig. 3: the per-level cost of each
 // direction on one architecture.
 type DirectionTimes struct {

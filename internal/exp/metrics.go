@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"crossbfs/internal/archsim"
@@ -71,7 +72,7 @@ func multiPlanTEPS(g *graph.CSR, archs []archsim.Arch, cfg Config) (map[archsim.
 	ws := bfs.DefaultPool.Get(g.NumVertices())
 	defer bfs.DefaultPool.Put(ws)
 	for _, root := range roots {
-		tr, err := bfs.TraceFromWith(g, root, ws)
+		tr, err := bfs.TraceFrom(context.Background(), g, root, ws, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -41,7 +41,7 @@ func MeasuredStepByStep(cfg Config, repeats int) (*RealStepByStep, error) {
 	best := func(policy func() bfs.Policy, name string) (*core.MeasuredTiming, error) {
 		var winner *core.MeasuredTiming
 		for i := 0; i < repeats; i++ {
-			res, m, err := core.Measure(g, src, policy(), name, 0)
+			res, m, err := core.Measure(g, src, policy(), name, 0, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
-
-	"crossbfs/internal/core"
 )
 
 func newTable(w io.Writer) *tabwriter.Writer {
@@ -175,20 +173,6 @@ func RenderMultiCoprocessor(w io.Writer, rows []MultiCoprocessorRow) error {
 	fmt.Fprintln(tw, "coprocessors\tGTEPS\tspeedup over 1\t")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%dx %s\t%.3f\t%.2fx\t\n", r.Coprocessors, r.Kind, r.GTEPS, r.SpeedupOver1)
-	}
-	return tw.Flush()
-}
-
-// RenderTiming prints one plan's per-level breakdown (bfsrun-style).
-func RenderTiming(w io.Writer, t *core.Timing) error {
-	tw := newTable(w)
-	fmt.Fprintf(tw, "%s\ttotal %.6fs\tGTEPS %.3f\n", t.Plan, t.Total, t.GTEPS())
-	for _, st := range t.Steps {
-		fmt.Fprintf(tw, "  level %d\t%s %s\t%.6fs", st.Step, st.Kind, st.Dir, st.Kernel)
-		if st.Transfer > 0 {
-			fmt.Fprintf(tw, "\t+%.6fs transfer", st.Transfer)
-		}
-		fmt.Fprintln(tw, "\t")
 	}
 	return tw.Flush()
 }

@@ -6,6 +6,7 @@
 package graph500
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -14,7 +15,6 @@ import (
 	"crossbfs/internal/core"
 	"crossbfs/internal/graph"
 	"crossbfs/internal/invariant"
-	"crossbfs/internal/rmat"
 	"crossbfs/internal/xmath"
 	"crossbfs/internal/xrand"
 )
@@ -60,7 +60,7 @@ func (r *RunResult) GTEPS() float64 { return r.Harmonic / 1e9 }
 
 // Run benchmarks a plan over sampled roots: a BFS per root is priced
 // on the simulator (kernel 2 of Graph 500), and each result is
-// validated before it counts. The batch goes through bfs.RunManyFunc,
+// validated before it counts. The batch goes through bfs.RunMany,
 // so the whole 64-root run shares a small set of pooled traversal
 // workspaces (one per in-flight root) instead of reallocating the
 // working set per key, and independent roots traverse concurrently.
@@ -78,7 +78,7 @@ func Run(g *graph.CSR, plan core.Plan, link archsim.Link, numRoots int, seed uin
 		Times:    make([]float64, len(roots)),
 		TEPS:     make([]float64, len(roots)),
 	}
-	err := bfs.RunManyFunc(g, roots, bfs.ManyOptions{Engine: bfs.SerialEngine()},
+	err := bfs.RunMany(context.Background(), g, roots, bfs.ManyOptions{Engine: bfs.SerialEngine()},
 		func(i int, root int32, r *bfs.Result) error {
 			if err := bfs.Validate(g, r); err != nil {
 				return fmt.Errorf("graph500: root %d failed validation: %w", root, err)
@@ -93,8 +93,8 @@ func Run(g *graph.CSR, plan core.Plan, link archsim.Link, numRoots int, seed uin
 			timing := core.Simulate(tr, plan, link)
 			// Indexed writes: the batch runner delivers each i exactly
 			// once, so concurrent callbacks never share a slot.
-			res.Times[i] = timing.Total //lint:shared-ok RunManyFunc delivers each index to exactly one callback
-			res.TEPS[i] = timing.TEPS() //lint:shared-ok RunManyFunc delivers each index to exactly one callback
+			res.Times[i] = timing.Total //lint:shared-ok RunMany delivers each index to exactly one callback
+			res.TEPS[i] = timing.TEPS() //lint:shared-ok RunMany delivers each index to exactly one callback
 			return nil
 		})
 	if err != nil {
@@ -108,14 +108,4 @@ func Run(g *graph.CSR, plan core.Plan, link archsim.Link, numRoots int, seed uin
 	res.Min = xmath.Min(res.TEPS)
 	res.Max = xmath.Max(res.TEPS)
 	return res, nil
-}
-
-// Benchmark generates the R-MAT graph for params and runs the plan
-// over the default roots — kernel 1 + kernel 2 in one call.
-func Benchmark(params rmat.Params, plan core.Plan, link archsim.Link, numRoots int) (*RunResult, error) {
-	g, err := rmat.Generate(params)
-	if err != nil {
-		return nil, err
-	}
-	return Run(g, plan, link, numRoots, params.Seed)
 }

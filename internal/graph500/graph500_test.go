@@ -1,6 +1,7 @@
 package graph500
 
 import (
+	"context"
 	"testing"
 
 	"crossbfs/internal/archsim"
@@ -110,10 +111,10 @@ func TestRunAggregates(t *testing.T) {
 func TestTraversalInvariantsPerRoot(t *testing.T) {
 	g := testGraph(t, 10, 16)
 	for _, root := range SampleRoots(g, 8, 3) {
-		r, err := bfs.Run(g, root, bfs.Options{
+		r, err := bfs.Run(context.Background(), g, root, bfs.Options{
 			Policy:          bfs.MN{M: 64, N: 64},
 			CheckInvariants: true,
-		})
+		}, nil)
 		if err != nil {
 			t.Fatalf("root %d: %v", root, err)
 		}
@@ -136,7 +137,13 @@ func TestRunEmptyGraphErrors(t *testing.T) {
 
 func TestBenchmarkEndToEnd(t *testing.T) {
 	plan := core.FixedDirection(archsim.KeplerK20x(), bfs.TopDown)
-	res, err := Benchmark(rmat.DefaultParams(9, 8), plan, archsim.PCIe(), 4)
+	// Kernel 1 (generate the graph) then kernel 2 (the rooted runs).
+	params := rmat.DefaultParams(9, 8)
+	g, err := rmat.Generate(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(g, plan, archsim.PCIe(), 4, params.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 //   - interface method calls, conservatively fanned out to every
 //     same-package concrete type whose method set satisfies the
 //     interface (this is how a call through bfs.Engine reaches the
-//     serial/top-down/bottom-up/edge-parallel kernels);
+//     serial/top-down/bottom-up kernels);
 //   - function-literal containment: an enclosing function "calls" every
 //     literal it defines, because in this codebase literals are grain
 //     callbacks and deferred closers that run on the enclosing

@@ -7,7 +7,7 @@ import (
 
 // CtxCheck flags loops that can run unboundedly inside context-aware
 // functions without ever consulting the context. The execution stack's
-// cancellation contract (bfs.RunWithContext) promises that a cancel is
+// cancellation contract (bfs.Run) promises that a cancel is
 // honored within one level or grain boundary; that promise holds only
 // if every long-running loop in a ctx-taking function has a
 // cancellation point. The suspicious shapes are

@@ -36,7 +36,7 @@ var SharedWrite = &Analyzer{
 
 // parallelRunners names the functions whose func-literal arguments run
 // concurrently on worker goroutines. parallelGrains is this codebase's
-// fan-out primitive and RunManyFunc its batched multi-root driver;
+// fan-out primitive and RunMany its batched multi-root driver;
 // anything spelled like a parallel driver is treated the same so
 // future runners are covered by default.
 func isParallelRunner(name string) bool {

@@ -125,7 +125,7 @@ func badBatchWrite(roots []int32, out []float64) {
 	})
 }
 
-// goodBatchIndexedWrite is the RunManyFunc consumer idiom: the write
+// goodBatchIndexedWrite is the RunMany consumer idiom: the write
 // is indexed by the callback's own index parameter, which the driver
 // hands to exactly one call — the same exemption as a worker shard.
 func goodBatchIndexedWrite(roots []int32, out []float64) {

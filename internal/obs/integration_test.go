@@ -2,10 +2,12 @@ package obs_test
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
 	"crossbfs/internal/bfs"
+	"crossbfs/internal/graph"
 	"crossbfs/internal/obs"
 	"crossbfs/internal/rmat"
 )
@@ -52,7 +54,7 @@ func TestRunManySharedRecorderTrace(t *testing.T) {
 	reg := obs.NewRegistry()
 	metrics := obs.NewRegistryRecorder(reg, "hybrid")
 
-	results, err := bfs.RunMany(g, roots, bfs.ManyOptions{
+	results, err := runManyCloned(g, roots, bfs.ManyOptions{
 		Engine:      bfs.HybridEngine(bfs.DefaultM, bfs.DefaultN, 2),
 		Concurrency: 4,
 		Recorder:    obs.Multi(cap, metrics),
@@ -160,7 +162,7 @@ func TestRunManySampledTrace(t *testing.T) {
 	cap := &dirCapture{dirs: make(map[uint64][]obs.Direction), next: tw}
 	sampler := obs.NewSampler(cap, 3, 2024)
 
-	results, err := bfs.RunMany(g, roots, bfs.ManyOptions{
+	results, err := runManyCloned(g, roots, bfs.ManyOptions{
 		Engine:      bfs.HybridEngine(bfs.DefaultM, bfs.DefaultN, 2),
 		Concurrency: 4,
 		Recorder:    sampler,
@@ -229,7 +231,7 @@ func TestRunManyFlightRecorder(t *testing.T) {
 		roots[i] = int32(i)
 	}
 	ring := obs.NewRing(4, 0)
-	if _, err := bfs.RunMany(g, roots, bfs.ManyOptions{
+	if _, err := runManyCloned(g, roots, bfs.ManyOptions{
 		Engine:      bfs.HybridEngine(bfs.DefaultM, bfs.DefaultN, 2),
 		Concurrency: 2,
 		Recorder:    ring,
@@ -278,7 +280,7 @@ func TestMetricsSnapshotMidRunMany(t *testing.T) {
 	rec := obs.NewRegistryRecorder(reg, "hybrid")
 	done := make(chan []*bfs.Result, 1)
 	go func() {
-		results, err := bfs.RunMany(g, roots, bfs.ManyOptions{
+		results, err := runManyCloned(g, roots, bfs.ManyOptions{
 			Engine:      bfs.HybridEngine(bfs.DefaultM, bfs.DefaultN, 2),
 			Concurrency: 4,
 			Recorder:    rec,
@@ -327,4 +329,18 @@ func TestMetricsSnapshotMidRunMany(t *testing.T) {
 		t.Errorf("final snapshot: traversals=%v roots_done=%v, want %d each",
 			s[traversals], s[rootsDone], len(roots))
 	}
+}
+
+// runManyCloned runs bfs.RunMany and keeps a durable clone of each
+// delivered result, in root order.
+func runManyCloned(g *graph.CSR, roots []int32, opts bfs.ManyOptions) ([]*bfs.Result, error) {
+	results := make([]*bfs.Result, len(roots))
+	err := bfs.RunMany(context.Background(), g, roots, opts, func(i int, _ int32, r *bfs.Result) error {
+		results[i] = r.Clone()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }

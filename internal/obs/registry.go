@@ -196,9 +196,6 @@ func (f *Family) Name() string { return f.name }
 // Type returns the family's declared exposition type.
 func (f *Family) Type() MetricType { return f.typ }
 
-// Bounds returns the histogram family's upper bounds (nil otherwise).
-func (f *Family) Bounds() []float64 { return append([]float64(nil), f.bounds...) }
-
 // cellKey joins label values with a byte that cannot appear in them.
 func cellKey(values []string) string {
 	return strings.Join(values, "\xff")
@@ -537,6 +534,6 @@ func RegisterRingGauges(r *Registry, ring *Ring) {
 		"Traversal groups that hit the per-traversal event cap and were truncated.").
 		WithFunc(func() float64 { return float64(ring.Stats().Truncated) })
 	r.Gauge("crossbfs_flight_ignored",
-		"Events dropped because they carried no traversal ID.").
+		"Events dropped because they had no traversal group to join: no traversal ID, or a completion event whose traversal was already evicted.").
 		WithFunc(func() float64 { return float64(ring.Stats().Ignored) })
 }

@@ -138,7 +138,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	c.Observe(math.MaxInt64)        // max-int -> +Inf
 
 	counts := c.BucketCounts()
-	bounds := h.Bounds()
+	bounds := h.bounds
 	if counts[0] != 2 { // 0 and 1
 		t.Errorf("bucket le=1 count = %d, want 2", counts[0])
 	}

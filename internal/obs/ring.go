@@ -35,11 +35,12 @@ const (
 // exceeding the per-traversal event cap keep their prefix and count
 // the rest as truncated — memory is bounded by keep × maxEvents events
 // plus whatever is in flight. Events with TraversalID 0 have no group
-// to belong to and are counted as ignored.
+// to belong to and are counted as ignored, as is a completion event
+// whose traversal was already evicted.
 //
 // DumpTo replays the retained groups into any Recorder (each group
 // contiguously, groups ordered by their first wall instant so a
-// TraceWriter replay latches the correct epoch); WriteTrace is the
+// StreamWriter replay latches the earliest epoch); WriteTrace is the
 // one-call dump to a Chrome trace file. Both may run while traversals
 // are still being recorded.
 type Ring struct {
@@ -81,7 +82,10 @@ type RingStats struct {
 	Open      int    // traversals still accumulating
 	Evicted   uint64 // complete traversals pushed out by newer ones
 	Truncated uint64 // events dropped by the per-traversal cap
-	Ignored   uint64 // events with TraversalID 0
+	// Ignored counts events with no group to join: those with
+	// TraversalID 0, and completion events (such as a late root_done)
+	// whose traversal was already evicted.
+	Ignored uint64
 }
 
 // NewRing returns a flight recorder retaining the last keep complete
@@ -108,6 +112,9 @@ func (r *Ring) Event(e Event) {
 		r.ignored.Add(1)
 		return
 	}
+	// root_done completes too: a root whose engine failed before
+	// traversal_start has only its dispatch bracket.
+	complete := e.Kind == KindTraversalEnd || e.Kind == KindPlanEnd || e.Kind == KindRootDone
 	sh := &r.shards[e.TraversalID%ringShards]
 	sh.mu.Lock()
 	g := sh.open[e.TraversalID]
@@ -130,6 +137,16 @@ func (r *Ring) Event(e Event) {
 			return
 		}
 		r.done.Unlock()
+		if complete {
+			// A completion event with neither an open nor a retained
+			// group trails a traversal that was already evicted. As a
+			// group of its own it would retire at once and evict a
+			// complete traversal, so it is dropped and counted as
+			// ignored.
+			sh.mu.Unlock()
+			r.ignored.Add(1)
+			return
+		}
 		g = &ringGroup{id: e.TraversalID}
 		sh.open[e.TraversalID] = g
 	}
@@ -141,10 +158,6 @@ func (r *Ring) Event(e Event) {
 	if !g.haveWall && !e.Wall.IsZero() {
 		g.firstWall, g.haveWall = e.Wall, true
 	}
-	// root_done also completes: if a dispatch bracket's closing event
-	// opened a fresh group (its traversal group was already evicted),
-	// the stub must still retire rather than linger open forever.
-	complete := e.Kind == KindTraversalEnd || e.Kind == KindPlanEnd || e.Kind == KindRootDone
 	if complete {
 		delete(sh.open, e.TraversalID)
 	}
@@ -176,8 +189,9 @@ func (r *Ring) Event(e Event) {
 // snapshot collects retained groups plus copies of still-open ones,
 // ordered for replay: groups without wall instants (pure simulated
 // timelines, whose timestamps are epoch-independent) first, then by
-// first wall instant so a TraceWriter replay latches the earliest
-// epoch and never produces negative timestamps.
+// first wall instant, so even a writer that latches its epoch from the
+// first event it receives (StreamWriter) gets the earliest one and no
+// negative timestamps.
 func (r *Ring) snapshot() []*ringGroup {
 	r.done.Lock()
 	groups := make([]*ringGroup, 0, len(r.done.groups))

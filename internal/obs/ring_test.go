@@ -170,3 +170,35 @@ func TestRingConcurrent(t *testing.T) {
 		t.Errorf("post-stress dump invalid: %v", err)
 	}
 }
+
+// TestRingLateRootDoneAfterEviction: a root_done that trails a
+// traversal the ring already evicted has no group to join. It must be
+// dropped and counted as ignored, not opened as a one-event stub whose
+// retirement would evict a complete traversal in its place.
+func TestRingLateRootDoneAfterEviction(t *testing.T) {
+	r := NewRing(1, 0)
+	base := time.UnixMicro(1700000000000000)
+	dispatch := func(kind Kind, id uint64, at time.Time) {
+		r.Event(Event{Kind: kind, TraversalID: id, Root: int32(id), Dir: DirNone, Wall: at})
+	}
+	dispatch(KindRootDispatch, 1, base)
+	feedTraversal(r, 1, 1, base)
+	dispatch(KindRootDispatch, 2, base.Add(time.Millisecond))
+	feedTraversal(r, 2, 1, base.Add(time.Millisecond)) // evicts traversal 1
+	dispatch(KindRootDone, 1, base.Add(2*time.Millisecond))
+
+	if st := r.Stats(); st.Retained != 1 || st.Open != 0 || st.Evicted != 1 || st.Ignored != 1 {
+		t.Fatalf("stats = %+v, want 1 retained, 0 open, 1 evicted, 1 ignored", st)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s, err := ValidateTrace(buf.Bytes())
+	if err != nil {
+		t.Fatalf("flight-recorder dump invalid: %v", err)
+	}
+	if len(s.LevelDirs) != 1 {
+		t.Errorf("dump has %d traversal lanes, want traversal 2's", len(s.LevelDirs))
+	}
+}

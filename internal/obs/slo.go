@@ -292,13 +292,6 @@ func (s *SLO) Verdict(i int) (Verdict, bool) {
 	return s.verdicts[i], true
 }
 
-// Breaches reports how many times the breach hook window opened.
-func (s *SLO) Breaches() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.breaches
-}
-
 // prune drops samples older than keep, always retaining the newest
 // sample older than the window as the long-window anchor.
 func (st *sloState) prune(now time.Time, keep time.Duration) {

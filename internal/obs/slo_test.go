@@ -132,8 +132,8 @@ func TestSLOBurnAndBreach(t *testing.T) {
 	if fired[0].Objective != "oltp p99 < 2ms over 60s" {
 		t.Errorf("verdict objective = %q", fired[0].Objective)
 	}
-	if s.Breaches() != 1 {
-		t.Errorf("Breaches = %d, want 1", s.Breaches())
+	if s.breaches != 1 {
+		t.Errorf("breaches = %d, want 1", s.breaches)
 	}
 }
 

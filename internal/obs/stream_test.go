@@ -138,15 +138,20 @@ func TestStreamWriterFlush(t *testing.T) {
 	if out.n == 0 {
 		t.Fatal("Flush returned but nothing reached the writer")
 	}
-	// After Flush the written prefix must equal what TraceWriter would
-	// have buffered so far (everything but the epilogue). TraceWriter
-	// only writes on Close, so peek at its internal buffer.
-	tw := NewTraceWriter(new(bytes.Buffer))
+	// After Flush the written prefix must equal TraceWriter's document
+	// for the same events minus the epilogue that Close appends.
+	var whole bytes.Buffer
+	tw := NewTraceWriter(&whole)
 	for _, e := range goldenEvents() {
 		tw.Event(e)
 	}
-	if !bytes.Equal(out.buf.Bytes(), tw.buf.Bytes()) {
-		t.Error("flushed prefix differs from TraceWriter's buffer at the same point")
+	if err := tw.Close(); err != nil {
+		t.Fatalf("TraceWriter Close: %v", err)
+	}
+	var epilogue bytes.Buffer
+	(&framer{started: true}).finish(&epilogue)
+	if !bytes.Equal(out.buf.Bytes(), bytes.TrimSuffix(whole.Bytes(), epilogue.Bytes())) {
+		t.Error("flushed prefix differs from TraceWriter's document without its epilogue")
 	}
 	if err := sw.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

@@ -10,8 +10,8 @@ import (
 )
 
 // This file holds the Chrome trace-event encoder shared by the two
-// trace-producing recorders: TraceWriter (buffer whole run in memory,
-// write on Close — exact, lossless) and StreamWriter (stream.go:
+// trace-producing recorders: TraceWriter (hold the whole run in memory,
+// encode and write on Close — exact, lossless) and StreamWriter (stream.go:
 // bounded memory, incremental writes, drops under backpressure). Both
 // compose the same two pieces so their output is byte-compatible:
 //
@@ -49,8 +49,10 @@ type traceEvent struct {
 // owners serialize access (TraceWriter and StreamWriter both hold a
 // mutex across event).
 type laneState struct {
-	// Wall epoch: latched from the first wall-clocked event so the
-	// timeline starts at ts 0 regardless of when the process began.
+	// Wall epoch, so the timeline starts at ts 0 regardless of when
+	// the process began. TraceWriter sets it to the run's earliest
+	// wall instant before encoding; StreamWriter, which encodes as
+	// events arrive, latches the first wall-clocked event's.
 	epoch     time.Time
 	haveEpoch bool
 
@@ -313,8 +315,8 @@ func (t *laneState) planLabel(id uint64) string {
 }
 
 // wallTS converts a wall instant to trace microseconds, latching the
-// epoch on first use. Zero instants (events from emitters that had no
-// clock in hand) map to the epoch.
+// epoch on first use unless the owner set it. Zero instants (events
+// from emitters that had no clock in hand) map to the epoch.
 func (t *laneState) wallTS(w time.Time) float64 {
 	if w.IsZero() {
 		return 0
@@ -436,7 +438,7 @@ func writeTraceEvent(buf *bytes.Buffer, ev traceEvent) {
 //     each expansion step is a complete ("X") slice whose args carry
 //     the per-level work counts, with instants for direction switches
 //     and traversal start/end. Timestamps are wall-clock microseconds
-//     since the first recorded event.
+//     since the earliest wall instant recorded.
 //   - pid 2 "interconnect": simulated device-to-device handoffs as
 //     slices on the modeled link, args carrying the payload bytes.
 //   - pid 3+: one per modeled device (lazily registered under its
@@ -444,30 +446,24 @@ func writeTraceEvent(buf *bytes.Buffer, ev traceEvent) {
 //     on its device's track, sharing one tid per plan run, on the
 //     simulated clock (modeled seconds rendered as microseconds).
 //
-// Events are encoded under one mutex as they arrive, so a TraceWriter
+// Events are recorded under one mutex as they arrive, so a TraceWriter
 // shared by concurrent RunMany roots never produces interleaved or
-// torn JSON; the file is buffered in memory and written on Close. For
-// runs whose length (or lifetime) makes an unbounded buffer wrong,
-// StreamWriter produces the same byte stream incrementally.
+// torn JSON. The run is held in memory and encoded, in arrival order,
+// on Close. Concurrent emitters stamp Wall before they hand an event
+// over, so arrival order is not stamp order; encoding on Close lets
+// the time origin be the earliest stamp, and no event lands before
+// it. For runs whose length (or lifetime) makes an unbounded buffer
+// wrong, StreamWriter produces the same byte stream incrementally.
 type TraceWriter struct {
 	mu     sync.Mutex
 	w      io.Writer
-	buf    bytes.Buffer
+	events []Event
 	closed bool
-
-	lanes *laneState
-	frame framer
 }
 
 // NewTraceWriter returns a TraceWriter that will emit the trace file
 // to w when Close is called.
-func NewTraceWriter(w io.Writer) *TraceWriter {
-	t := &TraceWriter{w: w}
-	t.lanes = newLaneState(func(ev traceEvent) {
-		t.frame.appendEvent(&t.buf, ev)
-	})
-	return t
-}
+func NewTraceWriter(w io.Writer) *TraceWriter { return &TraceWriter{w: w} }
 
 // Event implements Recorder.
 func (t *TraceWriter) Event(e Event) {
@@ -476,12 +472,12 @@ func (t *TraceWriter) Event(e Event) {
 	if t.closed {
 		return
 	}
-	t.lanes.event(e)
+	t.events = append(t.events, e)
 }
 
-// Close finalizes the JSON document and writes it to the underlying
-// writer. Events arriving after Close are dropped. Close is
-// idempotent; only the first call writes.
+// Close encodes the recorded events as the JSON document and writes it
+// to the underlying writer. Events arriving after Close are dropped.
+// Close is idempotent; only the first call writes.
 func (t *TraceWriter) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -489,7 +485,21 @@ func (t *TraceWriter) Close() error {
 		return nil
 	}
 	t.closed = true
-	t.frame.finish(&t.buf)
-	_, err := t.w.Write(t.buf.Bytes())
+	var (
+		buf   bytes.Buffer
+		frame framer
+	)
+	lanes := newLaneState(func(ev traceEvent) { frame.appendEvent(&buf, ev) })
+	for _, e := range t.events {
+		if !e.Wall.IsZero() && (!lanes.haveEpoch || e.Wall.Before(lanes.epoch)) {
+			lanes.epoch, lanes.haveEpoch = e.Wall, true
+		}
+	}
+	for _, e := range t.events {
+		lanes.event(e)
+	}
+	t.events = nil
+	frame.finish(&buf)
+	_, err := t.w.Write(buf.Bytes())
 	return err
 }

@@ -212,6 +212,29 @@ func TestTraceWriterCloseIdempotentAndDropsLate(t *testing.T) {
 	}
 }
 
+// TestTraceWriterEpochIsEarliestStamp: concurrent emitters stamp Wall
+// before they hand an event over, so a writer can receive root 2's
+// dispatch, stamped later, before root 1's. The trace's time origin
+// is the earliest stamp, so no event gets a negative timestamp.
+func TestTraceWriterEpochIsEarliestStamp(t *testing.T) {
+	at := func(us int64) time.Time { return time.UnixMicro(1700000000000000 + us) }
+	var buf bytes.Buffer
+	tw := NewTraceWriter(&buf)
+	tw.Event(Event{Kind: KindRootDispatch, TraversalID: 2, Root: 2, Index: 1, Dir: DirNone, Workers: 1, Wall: at(10)})
+	tw.Event(Event{Kind: KindRootDispatch, TraversalID: 1, Root: 1, Index: 0, Dir: DirNone, Workers: 0, Wall: at(0)})
+	if err := tw.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if _, err := ValidateTrace(buf.Bytes()); err != nil {
+		t.Fatalf("trace of out-of-order stamps invalid: %v", err)
+	}
+	for _, want := range []string{`"name":"dispatch root 2","cat":"dispatch","ph":"i","ts":10,`, `"name":"dispatch root 1","cat":"dispatch","ph":"i","ts":0,`} {
+		if !bytes.Contains(buf.Bytes(), []byte(want)) {
+			t.Errorf("trace lacks %s\n%s", want, buf.Bytes())
+		}
+	}
+}
+
 func TestTraceWriterEmptyClose(t *testing.T) {
 	var buf bytes.Buffer
 	if err := NewTraceWriter(&buf).Close(); err != nil {

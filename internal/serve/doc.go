@@ -7,7 +7,7 @@
 // process's telemetry spine. Each query runs as one traversal:
 //
 //   - the request deadline becomes a context deadline threaded into
-//     Engine.RunContext, so a slow traversal stops at its next level
+//     Engine.RunObserved, so a slow traversal stops at its next level
 //     boundary and the client gets 504 instead of a stuck connection;
 //   - admission is a fixed number of execution slots plus a bounded
 //     wait queue — a request that finds the queue full is rejected

@@ -294,7 +294,7 @@ func TestConcurrentQueriesMatchSerial(t *testing.T) {
 	}
 	refs := make(map[int32]*bfs.Result, len(sources))
 	for _, src := range sources {
-		ref, err := bfs.Serial(g, src)
+		ref, err := bfs.SerialEngine().Run(g, src, nil)
 		if err != nil {
 			t.Fatalf("Serial(%d): %v", src, err)
 		}

@@ -223,7 +223,7 @@ func (s *Server) runMulti(ctx context.Context, sg *servedGraph, q Query, resp *R
 		Pool:        s.pool,
 		Recorder:    sg.rec,
 	}
-	err := bfs.RunManyFuncContext(ctx, sg.g, q.Sources, opts, func(i int, root int32, r *bfs.Result) error {
+	err := bfs.RunMany(ctx, sg.g, q.Sources, opts, func(i int, root int32, r *bfs.Result) error {
 		resp.Results = append(resp.Results, SourceResult{
 			Source:  root,
 			Visited: r.VisitedCount,

@@ -331,10 +331,6 @@ func (s *Server) SLOVerdicts() []obs.Verdict {
 	return s.slo.Verdicts()
 }
 
-// FlightRecorder exposes the sampled flight-recorder ring (the
-// /debug/flight payload source).
-func (s *Server) FlightRecorder() *obs.Ring { return s.ring }
-
 // SamplerStats reports the sampler's seen/kept counters.
 func (s *Server) SamplerStats() (seen, kept uint64) {
 	return s.sampler.Seen(), s.sampler.Kept()

@@ -69,24 +69,22 @@ func newBlockingEngine() *blockingEngine {
 func (e *blockingEngine) Name() string { return "blocking" }
 
 func (e *blockingEngine) Run(g *graph.CSR, source int32, ws *bfs.Workspace) (*bfs.Result, error) {
-	return e.RunContext(context.Background(), g, source, ws)
+	return e.RunObserved(context.Background(), g, source, ws, nil)
 }
 
-func (e *blockingEngine) RunContext(ctx context.Context, g *graph.CSR, source int32, ws *bfs.Workspace) (*bfs.Result, error) {
+// RunObserved blocks until released or cancelled. It drops rec: the
+// released traversal runs unobserved.
+func (e *blockingEngine) RunObserved(ctx context.Context, g *graph.CSR, source int32, ws *bfs.Workspace, _ obs.Recorder) (*bfs.Result, error) {
 	select {
 	case e.entered <- struct{}{}:
 	default:
 	}
 	select {
 	case <-e.release:
-		return bfs.SerialEngine().RunContext(ctx, g, source, ws)
+		return bfs.SerialEngine().RunObserved(ctx, g, source, ws, nil)
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-func (e *blockingEngine) RunObserved(ctx context.Context, g *graph.CSR, source int32, ws *bfs.Workspace, rec obs.Recorder) (*bfs.Result, error) {
-	return e.RunContext(ctx, g, source, ws)
 }
 
 // setEngine swaps the planned engine of a registered graph — tests
@@ -159,7 +157,7 @@ func TestQueryKindsMatchSerial(t *testing.T) {
 	s := newTestServer(t, Config{}, g)
 	defer s.Close()
 	src := firstSource(t, g)
-	ref, err := bfs.Serial(g, src)
+	ref, err := bfs.SerialEngine().Run(g, src, nil)
 	if err != nil {
 		t.Fatalf("Serial: %v", err)
 	}
@@ -249,7 +247,7 @@ func TestQueryKindsMatchSerial(t *testing.T) {
 			t.Fatalf("multi returned %d results, want %d", len(resp.Results), len(sources))
 		}
 		for i, src := range sources {
-			sref, err := bfs.Serial(g, src)
+			sref, err := bfs.SerialEngine().Run(g, src, nil)
 			if err != nil {
 				t.Fatalf("Serial(%d): %v", src, err)
 			}
@@ -444,7 +442,7 @@ func TestFlightRecorderRetainsSampledQueries(t *testing.T) {
 		}
 		ids = append(ids, resp.TraversalID)
 	}
-	stats := s.FlightRecorder().Stats()
+	stats := s.ring.Stats()
 	if stats.Retained != 5 {
 		t.Fatalf("ring retained %d traversals, want 5", stats.Retained)
 	}
@@ -454,7 +452,7 @@ func TestFlightRecorderRetainsSampledQueries(t *testing.T) {
 	}
 	// The retained groups carry exactly the reported IDs.
 	got := map[uint64]bool{}
-	s.FlightRecorder().DumpTo(recorderFunc(func(e obs.Event) {
+	s.ring.DumpTo(recorderFunc(func(e obs.Event) {
 		if e.TraversalID != 0 {
 			got[e.TraversalID] = true
 		}

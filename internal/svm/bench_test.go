@@ -45,13 +45,3 @@ func BenchmarkPredict(b *testing.B) {
 		m.Predict(probe)
 	}
 }
-
-func BenchmarkTrainRidge(b *testing.B) {
-	X, y := paperCorpus(140)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := TrainRidge(X, y, 0.01); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

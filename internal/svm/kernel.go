@@ -1,5 +1,5 @@
 // Package svm implements epsilon-Support-Vector Regression trained
-// with a pairwise SMO solver, plus a ridge-regression baseline.
+// with a pairwise SMO solver.
 //
 // The paper predicts the hybrid-BFS switching point with SVM
 // regression (§II-C, §III-D), citing libsvm; this is a from-scratch

@@ -240,70 +240,6 @@ func TestSVRDuplicatePoints(t *testing.T) {
 	}
 }
 
-func TestRidgeRecoversCoefficients(t *testing.T) {
-	rng := xrand.New(3)
-	var X [][]float64
-	var y []float64
-	for i := 0; i < 100; i++ {
-		a, b, c := rng.Float64(), rng.Float64(), rng.Float64()
-		X = append(X, []float64{a, b, c})
-		y = append(y, 1.5*a-0.7*b+4*c+2)
-	}
-	m, err := TrainRidge(X, y, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1.5, -0.7, 4}
-	for j, w := range want {
-		if math.Abs(m.Weights[j]-w) > 1e-6 {
-			t.Errorf("weight %d = %g, want %g", j, m.Weights[j], w)
-		}
-	}
-	if math.Abs(m.Bias-2) > 1e-6 {
-		t.Errorf("bias = %g, want 2", m.Bias)
-	}
-}
-
-func TestRidgeRegularizationShrinks(t *testing.T) {
-	X := [][]float64{{0}, {1}, {2}, {3}}
-	y := []float64{0, 1, 2, 3}
-	small, err := TrainRidge(X, y, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := TrainRidge(X, y, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(big.Weights[0]) >= math.Abs(small.Weights[0]) {
-		t.Errorf("lambda=100 weight %g not shrunk vs %g", big.Weights[0], small.Weights[0])
-	}
-}
-
-func TestRidgeSingularWithoutLambda(t *testing.T) {
-	// Two perfectly collinear features: OLS is singular, ridge is not.
-	X := [][]float64{{1, 2}, {2, 4}, {3, 6}}
-	y := []float64{1, 2, 3}
-	if _, err := TrainRidge(X, y, 0); err == nil {
-		t.Error("singular OLS system accepted")
-	}
-	if _, err := TrainRidge(X, y, 0.1); err != nil {
-		t.Errorf("ridge with lambda failed on collinear data: %v", err)
-	}
-}
-
-func TestRidgeInputValidation(t *testing.T) {
-	if _, err := TrainRidge(nil, nil, 1); err == nil {
-		t.Error("empty training set accepted")
-	}
-	if _, err := TrainRidge([][]float64{{1}}, []float64{1}, -1); err == nil {
-		t.Error("negative lambda accepted")
-	}
-	if _, err := TrainRidge([][]float64{{1}, {1, 2}}, []float64{1, 2}, 1); err == nil {
-		t.Error("ragged samples accepted")
-	}
-}
-
 func TestScalerRoundTrip(t *testing.T) {
 	X := [][]float64{{0, 10, 5}, {100, 20, 5}, {50, 15, 5}}
 	s, err := FitScaler(X)

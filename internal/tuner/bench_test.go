@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -30,7 +31,7 @@ func tracedGraph(b *testing.B) *bfs.Trace {
 				break
 			}
 		}
-		benchTrace, benchErr = bfs.TraceFrom(g, src)
+		benchTrace, benchErr = bfs.TraceFrom(context.Background(), g, src, nil, nil)
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)

@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"context"
 	"fmt"
 
 	"crossbfs/internal/archsim"
@@ -103,7 +104,7 @@ func BuildCorpus(spec CorpusSpec, progress func(done, total int)) ([]Labeled, er
 						if !ok {
 							continue
 						}
-						tr, err := bfs.TraceFromWith(g, src, ws)
+						tr, err := bfs.TraceFrom(context.Background(), g, src, ws, nil)
 						if err != nil {
 							return nil, fmt.Errorf("tuner: tracing scale-%d graph: %w", scale, err)
 						}

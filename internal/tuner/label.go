@@ -38,12 +38,6 @@ func (e *Evaluation) MeanTime() float64 {
 	return s / float64(len(e.Times))
 }
 
-// TimeOf prices one specific switching point with the evaluation's
-// own plan builder semantics (used for the Regression bar).
-func (e *Evaluation) TimeOf(p SwitchPoint, tr *bfs.Trace, td, bu archsim.Arch, link archsim.Link) float64 {
-	return SwitchTime(tr, td, bu, link, p)
-}
-
 // SwitchTime prices one (M, N) on the two-architecture plan: the
 // traversal the paper's training samples describe.
 func SwitchTime(tr *bfs.Trace, td, bu archsim.Arch, link archsim.Link, p SwitchPoint) float64 {

@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -84,7 +85,7 @@ func testTrace(t *testing.T, scale, ef int, seed uint64) (*bfs.Trace, GraphInfo)
 	if src < 0 {
 		t.Fatal("no edges")
 	}
-	tr, err := bfs.TraceFrom(g, src)
+	tr, err := bfs.TraceFrom(context.Background(), g, src, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package xmath provides the small set of summary statistics used by
-// the benchmark harness: means (arithmetic, geometric, harmonic),
+// the benchmark harness: means (arithmetic, harmonic), extremes,
 // dispersion, and quantiles. Graph 500 reports the harmonic mean of
 // TEPS across search roots, which is why it appears here explicitly.
 package xmath
@@ -38,22 +38,6 @@ func HarmonicMean(xs []float64) float64 {
 	return float64(len(xs)) / sum
 }
 
-// GeoMean returns the geometric mean of xs, or 0 for an empty slice.
-// All elements must be positive; a non-positive element yields 0.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
 // Min returns the minimum of xs, or +Inf for an empty slice.
 func Min(xs []float64) float64 {
 	m := math.Inf(1)
@@ -74,15 +58,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // StdDev returns the sample standard deviation of xs (n-1 divisor),
@@ -130,26 +105,4 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// ClampInt limits x to [lo, hi].
-func ClampInt(x, lo, hi int) int {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
