@@ -37,11 +37,12 @@ lint-json:
 
 # race exercises the concurrent kernels, the parallelGrains scheduler,
 # and the cancellation/fault paths under the race detector. bfs and
-# bitmap hold the goroutine-shared state; graph builds the
-# non-isolated mask that concurrent traversals of one graph share;
+# bitmap hold the goroutine-shared state; graph builds CSRs on
+# several workers and the non-isolated mask that concurrent traversals
+# of one graph share; rmat generates edge blocks on several workers;
 # core drives the resilient executor's context plumbing.
 race:
-	$(GO) test -race ./internal/bfs/... ./internal/bitmap/... ./internal/core/... ./internal/graph/... ./internal/obs/... ./internal/serve/...
+	$(GO) test -race ./internal/bfs/... ./internal/bitmap/... ./internal/core/... ./internal/graph/... ./internal/obs/... ./internal/rmat/... ./internal/serve/...
 
 # trace-smoke is the end-to-end observability gate: export a Chrome
 # trace from a real run (scale-14 keeps it a few seconds), then have

@@ -11,9 +11,11 @@
 //	benchreport [flags]
 //
 //	-dir string        directory holding BENCH_<n>.json snapshots (default ".")
-//	-pkgs string       comma-separated packages to benchmark (default "./internal/bfs")
+//	-pkgs string       comma-separated packages to benchmark (default
+//	                   "./internal/bfs,./internal/rmat,./internal/graph")
 //	-bench string      benchmark regex handed to go test (default covers the
-//	                   kernel, RunMany, and recorder-overhead benches)
+//	                   kernel, RunMany, and recorder-overhead benches, and
+//	                   Graph 500 kernel 1: Edges, Generate and Build)
 //	-benchtime string  go test -benchtime value (default "1x")
 //	-count int         go test -count value (default 1)
 //	-threshold float   relative regression tolerance (default 0.35 = 35%)
@@ -411,14 +413,14 @@ var runBenches = func(pkgs []string, benchRe, benchtime string, count int, verbo
 	return string(out), nil
 }
 
-const defaultBench = "RunManyRecorderOverhead|KernelScales|ShardedScales|RunNopRecorder|RunLiveRecorder|RunReuseWorkspace|RunMany64Roots|Hybrid$|TopDownParallel|BottomUp$|Serial$"
+const defaultBench = "RunManyRecorderOverhead|KernelScales|ShardedScales|RunNopRecorder|RunLiveRecorder|RunReuseWorkspace|RunMany64Roots|Hybrid$|TopDownParallel|BottomUp$|Serial$|Edges$|Generate$|Build$"
 
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		dir       = fs.String("dir", ".", "directory holding BENCH_<n>.json snapshots")
-		pkgs      = fs.String("pkgs", "./internal/bfs", "comma-separated packages to benchmark")
+		pkgs      = fs.String("pkgs", "./internal/bfs,./internal/rmat,./internal/graph", "comma-separated packages to benchmark")
 		benchRe   = fs.String("bench", defaultBench, "benchmark regex for go test -bench")
 		benchtime = fs.String("benchtime", "1x", "go test -benchtime value")
 		count     = fs.Int("count", 1, "go test -count value")

@@ -12,7 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
+	"runtime"
 	"sort"
 	"sync"
 )
@@ -92,35 +92,44 @@ func (g *CSR) Hubs() (hub []int32, hasHub []uint64) {
 
 // buildDerived builds the non-isolated mask, its isolated count and
 // the hub index in one pass over the vertices, each mask word in a
-// register stored once.
+// register stored once. Workers take ranges of whole mask words of
+// about equal work.
 func (g *CSR) buildDerived() {
 	n := g.NumVertices()
 	words := (n + 63) / 64
 	mask, hasHub := make([]uint64, words), make([]uint64, words)
 	hub := make([]int32, n)
-	isolated := n
-	for wi := range mask {
-		base := wi * 64
-		var live, hubbed uint64
-		for v := base; v < min(base+64, n); v++ {
-			lo, hi := g.Offsets[v], g.Offsets[v+1]
-			if hi != lo {
-				live |= 1 << uint(v-base)
-			}
-			best, bestDeg := int32(-1), hi-lo
-			for _, u := range g.Adj[lo:hi] {
-				d := g.Degree(u)
-				if d > bestDeg || d == bestDeg && best >= 0 && u < best {
-					best, bestDeg = u, d
+	workers := workersFor(g.NumEdges()+int64(n), deriveWorkerEntries, runtime.GOMAXPROCS(0))
+	bounds := g.splitByWork(workers, 64)
+	live := make([]int, workers)
+	parallelWorkers(workers, func(w int) {
+		for wi := bounds[w] / 64; wi < (bounds[w+1]+63)/64; wi++ {
+			base := wi * 64
+			var liveBits, hubbed uint64
+			for v := base; v < min(base+64, n); v++ {
+				lo, hi := g.Offsets[v], g.Offsets[v+1]
+				if hi != lo {
+					liveBits |= 1 << uint(v-base)
+				}
+				best, bestDeg := int32(-1), hi-lo
+				for _, u := range g.Adj[lo:hi] {
+					d := g.Degree(u)
+					if d > bestDeg || d == bestDeg && best >= 0 && u < best {
+						best, bestDeg = u, d
+					}
+				}
+				hub[v] = best //lint:shared-ok single writer: v is in this worker's range of mask words
+				if best >= 0 {
+					hubbed |= 1 << uint(v-base)
 				}
 			}
-			hub[v] = best
-			if best >= 0 {
-				hubbed |= 1 << uint(v-base)
-			}
+			mask[wi], hasHub[wi] = liveBits, hubbed //lint:shared-ok single writer: wi is in this worker's range of mask words
+			live[w] += bits.OnesCount64(liveBits)
 		}
-		mask[wi], hasHub[wi] = live, hubbed
-		isolated -= bits.OnesCount64(live)
+	})
+	isolated := n
+	for _, c := range live {
+		isolated -= c
 	}
 	g.nonIsolated, g.isolated, g.hub, g.hasHub = mask, isolated, hub, hasHub
 }
@@ -142,104 +151,6 @@ func (g *CSR) MaxDegree() int64 {
 		}
 	}
 	return m
-}
-
-// BuildOptions control edge-list to CSR conversion.
-type BuildOptions struct {
-	// Symmetrize inserts the reverse of every edge so the CSR can be
-	// traversed as an undirected graph. This matches Graph 500 kernel 1.
-	Symmetrize bool
-	// KeepSelfLoops retains (v, v) edges. Graph 500 construction drops
-	// them, so the default (false) drops them too.
-	KeepSelfLoops bool
-	// KeepDuplicates retains parallel edges. Graph 500 construction
-	// deduplicates, so the default (false) deduplicates.
-	KeepDuplicates bool
-}
-
-// Build converts an edge list into a CSR graph with numVertices
-// vertices. Vertex IDs must lie in [0, numVertices).
-func Build(numVertices int, edges []Edge, opts BuildOptions) (*CSR, error) {
-	if numVertices < 0 {
-		return nil, errors.New("graph: negative vertex count")
-	}
-	n := int32(numVertices)
-	for _, e := range edges {
-		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.From, e.To, n)
-		}
-	}
-
-	// Count directed entries per vertex.
-	offsets := make([]int64, numVertices+1)
-	count := func(e Edge) {
-		if !opts.KeepSelfLoops && e.From == e.To {
-			return
-		}
-		offsets[e.From+1]++
-		if opts.Symmetrize && e.From != e.To {
-			offsets[e.To+1]++
-		}
-	}
-	for _, e := range edges {
-		count(e)
-	}
-	for v := 0; v < numVertices; v++ {
-		offsets[v+1] += offsets[v]
-	}
-
-	adj := make([]int32, offsets[numVertices])
-	cursor := make([]int64, numVertices)
-	place := func(from, to int32) {
-		pos := offsets[from] + cursor[from]
-		adj[pos] = to
-		cursor[from]++
-	}
-	for _, e := range edges {
-		if !opts.KeepSelfLoops && e.From == e.To {
-			continue
-		}
-		place(e.From, e.To)
-		if opts.Symmetrize && e.From != e.To {
-			place(e.To, e.From)
-		}
-	}
-
-	g := &CSR{Offsets: offsets, Adj: adj}
-	g.sortAdjacency()
-	if !opts.KeepDuplicates {
-		g.dedup()
-	}
-	return g, nil
-}
-
-// sortAdjacency sorts each adjacency list ascending.
-func (g *CSR) sortAdjacency() {
-	for v := 0; v < g.NumVertices(); v++ {
-		slices.Sort(g.Adj[g.Offsets[v]:g.Offsets[v+1]])
-	}
-}
-
-// dedup removes duplicate entries from each (sorted) adjacency list,
-// compacting Adj and rewriting Offsets.
-func (g *CSR) dedup() {
-	n := g.NumVertices()
-	newOffsets := make([]int64, n+1)
-	w := int64(0)
-	for v := 0; v < n; v++ {
-		newOffsets[v] = w
-		start, end := g.Offsets[v], g.Offsets[v+1]
-		for i := start; i < end; i++ {
-			if i > start && g.Adj[i] == g.Adj[i-1] {
-				continue
-			}
-			g.Adj[w] = g.Adj[i]
-			w++
-		}
-	}
-	newOffsets[n] = w
-	g.Offsets = newOffsets
-	g.Adj = g.Adj[:w]
 }
 
 // Stats summarizes a graph for feature vectors and reports.

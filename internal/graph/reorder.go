@@ -36,7 +36,7 @@ func (g *CSR) SortNeighborsByDegree() *CSR {
 // SortNeighborsByID restores ascending adjacency order (the Build
 // default), re-enabling binary-search HasEdge.
 func (g *CSR) SortNeighborsByID() *CSR {
-	g.sortAdjacency()
+	g.sortLists(false)
 	return g
 }
 

@@ -1,6 +1,11 @@
 package rmat
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -32,6 +37,97 @@ func TestValidate(t *testing.T) {
 	bad.A = good.A + 2*0.19
 	if bad.Validate() == nil {
 		t.Error("negative quadrant probability accepted")
+	}
+	bad = good
+	bad.D = math.NaN()
+	if bad.Validate() == nil {
+		t.Error("NaN quadrant probability accepted")
+	}
+	bad = good
+	bad.Scale = 31 // 2^31 vertices: ids no longer fit in int32
+	if bad.Validate() == nil {
+		t.Error("scale 31 accepted")
+	}
+	ok := good
+	ok.Scale = 30
+	if err := ok.Validate(); err != nil {
+		t.Errorf("scale 30 rejected: %v", err)
+	}
+}
+
+// goldenHashes returns FNV-1a 64 hashes over little-endian bytes of
+// the edge list (From then To, as int32, per edge) and of the
+// symmetrized CSR (Offsets as int64, then Adj as int32), and |Adj|.
+func goldenHashes(t *testing.T, p Params) (edgeHash, csrHash uint64, adj int) {
+	t.Helper()
+	edges, err := Edges(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.Build(p.NumVertices(), edges, graph.BuildOptions{Symmetrize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var b []byte
+	for _, e := range edges {
+		b = binary.LittleEndian.AppendUint32(b[:0], uint32(e.From))
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.To))
+		h.Write(b)
+	}
+	edgeHash = h.Sum64()
+	h.Reset()
+	for _, o := range g.Offsets {
+		h.Write(binary.LittleEndian.AppendUint64(b[:0], uint64(o)))
+	}
+	for _, v := range g.Adj {
+		h.Write(binary.LittleEndian.AppendUint32(b[:0], uint32(v)))
+	}
+	return edgeHash, h.Sum64(), len(g.Adj)
+}
+
+// TestGolden pins the generator's and the builder's output: any
+// change to the random streams, the quadrant choice, the permutation
+// or the CSR layout changes a hash. The graphs must not depend on the
+// worker count, so every case runs at GOMAXPROCS 1 and 2.
+func TestGolden(t *testing.T) {
+	uniform := DefaultParams(10, 8)
+	uniform.A, uniform.B, uniform.C, uniform.D = 0.25, 0.25, 0.25, 0.25
+	unpermuted := DefaultParams(10, 8)
+	unpermuted.Permute = false
+	seeded := func(seed uint64) Params {
+		p := DefaultParams(12, 16)
+		p.Seed = seed
+		return p
+	}
+	cases := []struct {
+		name              string
+		p                 Params
+		edgeHash, csrHash uint64
+		adj               int
+	}{
+		{"scale12-seed1", seeded(1), 0xb54c0ca219113114, 0xdaeb86accf2a5cb5, 96750},
+		{"scale12-seed2", seeded(2), 0x234260af0b0d1a5f, 0x83ba161b2304f600, 96712},
+		{"scale12-seed201", seeded(201), 0xb5486962572e545b, 0xc1662f560a8af6d3, 96694},
+		{"scale10-unpermuted", unpermuted, 0xc82cb866ec201552, 0xa521bb0fb79c1969, 12156},
+		{"scale10-uniform", uniform, 0x8e43db431aa586ad, 0x99199dbe504e96c6, 16228},
+		// The rmat-batch benchmark graph.
+		{"scale18-seed1", DefaultParams(18, 16), 0x8348515179fffcca, 0x603a18ee4683e385, 7611118},
+	}
+	for _, procs := range []int{1, 2} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/procs%d", tc.name, procs), func(t *testing.T) {
+				if tc.p.Scale > 12 && testing.Short() {
+					t.Skip("SCALE 18 under -short")
+				}
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				e, c, adj := goldenHashes(t, tc.p)
+				if e != tc.edgeHash || c != tc.csrHash || adj != tc.adj {
+					t.Errorf("edges %016x, CSR %016x, |Adj| %d; want %016x, %016x, %d",
+						e, c, adj, tc.edgeHash, tc.csrHash, tc.adj)
+				}
+			})
+		}
 	}
 }
 

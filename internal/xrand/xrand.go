@@ -33,22 +33,47 @@ func (s *SplitMix64) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
+// State is a xoshiro256** state held by value. A loop that keeps it in
+// a local variable and advances it with Next keeps all four words in
+// registers, where a *Rand goes through memory on every draw; Rand
+// wraps the same state, so the repository has one xoshiro
+// implementation.
+type State struct {
+	s0, s1, s2, s3 uint64
+}
+
+// NewState returns the state New(seed) starts from: four consecutive
+// SplitMix64 outputs, as the xoshiro authors recommend (an all-zero
+// state is invalid, and SplitMix64 never produces one from four
+// consecutive outputs).
+func NewState(seed uint64) State {
+	sm := NewSplitMix64(seed)
+	return State{sm.Uint64(), sm.Uint64(), sm.Uint64(), sm.Uint64()}
+}
+
+// Next returns the next value in the stream and the advanced state.
+func (s State) Next() (uint64, State) {
+	result := rotl(s.s1*5, 7) * 9
+	t := s.s1 << 17
+	s.s2 ^= s.s0
+	s.s3 ^= s.s1
+	s.s1 ^= s.s2
+	s.s0 ^= s.s3
+	s.s2 ^= t
+	s.s3 = rotl(s.s3, 45)
+	return result, s
+}
+
 // Rand is a xoshiro256** generator: fast, 256 bits of state, and
 // equidistributed enough for graph generation and sampling.
 type Rand struct {
-	s [4]uint64
+	s State
 }
 
-// New returns a generator seeded from seed via SplitMix64, as
-// recommended by the xoshiro authors (an all-zero state is invalid, and
-// SplitMix64 never produces one from four consecutive outputs).
+// New returns a generator seeded from seed via SplitMix64 (see
+// NewState).
 func New(seed uint64) *Rand {
-	sm := NewSplitMix64(seed)
-	var r Rand
-	for i := range r.s {
-		r.s[i] = sm.Uint64()
-	}
-	return &r
+	return &Rand{s: NewState(seed)}
 }
 
 // Split returns a new generator with a stream independent of r's,
@@ -63,16 +88,9 @@ func rotl(x uint64, k uint) uint64 {
 
 // Uint64 returns the next value in the stream.
 func (r *Rand) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	v, s := r.s.Next()
+	r.s = s
+	return v
 }
 
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
