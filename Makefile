@@ -85,11 +85,13 @@ metrics-smoke:
 # and minutes of wall time; CI runs it as its own job.
 # Set SERVINGREPORT to a bfsload -out file to fold its latency/QPS
 # totals into the snapshot's "serving" section (gated like the rest).
-BENCHTIME ?= 1x
+# It runs at the snapshots' settings, 300x at GOMAXPROCS 1: benchreport
+# refuses to compare runs taken at another benchtime or GOMAXPROCS.
+BENCHTIME ?= 300x
 BENCHTHRESHOLD ?= 0.35
 SERVINGREPORT ?=
 bench-report:
-	$(GO) run ./cmd/benchreport -benchtime $(BENCHTIME) -threshold $(BENCHTHRESHOLD) $(if $(SERVINGREPORT),-serving $(SERVINGREPORT))
+	GOMAXPROCS=1 $(GO) run ./cmd/benchreport -benchtime $(BENCHTIME) -threshold $(BENCHTHRESHOLD) $(if $(SERVINGREPORT),-serving $(SERVINGREPORT))
 
 # perfbench is the benchmark's own module, so the root build, vet and
 # test never compile it; verify covers it here because it imports obs

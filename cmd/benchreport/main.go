@@ -14,8 +14,9 @@
 //	-pkgs string       comma-separated packages to benchmark (default
 //	                   "./internal/bfs,./internal/rmat,./internal/graph")
 //	-bench string      benchmark regex handed to go test (default covers the
-//	                   kernel, RunMany, and recorder-overhead benches, and
-//	                   Graph 500 kernel 1: Edges, Generate and Build)
+//	                   kernel, RunMany, point-query and recorder-overhead
+//	                   benches, and Graph 500 kernel 1: Edges, Generate
+//	                   and Build)
 //	-benchtime string  go test -benchtime value (default "1x")
 //	-count int         go test -count value (default 1)
 //	-threshold float   relative regression tolerance (default 0.35 = 35%)
@@ -63,8 +64,13 @@
 //     QPS when cur < prev ÷ (1 + threshold); a section on only one side
 //     (or a mix change) is a warning
 //
+// Runs are compared only like with like: when the previous snapshot's
+// benchtime or GOMAXPROCS differs from this run's, benchreport prints
+// both settings and exits 2 before running anything.
+//
 // Exit codes: 0 no regression, 1 regression detected, 2 usage or
-// operational error (bench run failed, unreadable snapshot).
+// operational error (bench run failed, unreadable snapshot, settings
+// that differ from the previous snapshot's).
 package main
 
 import (
@@ -413,7 +419,7 @@ var runBenches = func(pkgs []string, benchRe, benchtime string, count int, verbo
 	return string(out), nil
 }
 
-const defaultBench = "RunManyRecorderOverhead|KernelScales|ShardedScales|RunNopRecorder|RunLiveRecorder|RunReuseWorkspace|RunMany64Roots|Hybrid$|TopDownParallel|BottomUp$|Serial$|Edges$|Generate$|Build$"
+const defaultBench = "RunManyRecorderOverhead|KernelScales|ShardedScales|RunNopRecorder|RunLiveRecorder|RunReuseWorkspace|RunMany64Roots|PointQuery|Hybrid$|TopDownParallel|BottomUp$|Serial$|Edges$|Generate$|Build$"
 
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)
@@ -457,7 +463,24 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var cur *Snapshot
+	var prev *Snapshot
+	if *prevPath != "" {
+		s, err := readSnapshot(*prevPath)
+		if err != nil {
+			fmt.Fprintf(stderr, "benchreport: %v\n", err)
+			return 2
+		}
+		prev = s
+	}
+
+	cur := &Snapshot{
+		Schema:     schemaV1,
+		Go:         runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Benchtime:  *benchtime,
+	}
 	if *curPath != "" {
 		s, err := readSnapshot(*curPath)
 		if err != nil {
@@ -465,7 +488,16 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		cur = s
-	} else {
+	}
+	// Runs under other settings are not comparable: a 1x run counts
+	// warm-up allocations, and a second P changes every parallel row.
+	// This is checked before the bench run, so no snapshot is written.
+	if prev != nil && (prev.Benchtime != cur.Benchtime || prev.GOMAXPROCS != cur.GOMAXPROCS) {
+		fmt.Fprintf(stderr, "benchreport: %s ran at -benchtime %s with GOMAXPROCS %d, this run at -benchtime %s with GOMAXPROCS %d; not comparable (make bench-report runs at the snapshots' settings)\n",
+			*prevPath, prev.Benchtime, prev.GOMAXPROCS, cur.Benchtime, cur.GOMAXPROCS)
+		return 2
+	}
+	if *curPath == "" {
 		var vw io.Writer
 		if *verbose {
 			vw = stderr
@@ -475,21 +507,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "benchreport: %v\n", err)
 			return 2
 		}
-		entries := parseBenchOutput(out)
-		if len(entries) == 0 {
+		cur.Benchmarks = parseBenchOutput(out)
+		if len(cur.Benchmarks) == 0 {
 			fmt.Fprintf(stderr, "benchreport: no benchmark results matched %q\n", *benchRe)
 			return 2
 		}
-		cur = &Snapshot{
-			Schema:      schemaV1,
-			Go:          runtime.Version(),
-			GOOS:        runtime.GOOS,
-			GOARCH:      runtime.GOARCH,
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			Benchtime:   *benchtime,
-			Benchmarks:  entries,
-			OverheadPct: overheadDeltas(entries),
-		}
+		cur.OverheadPct = overheadDeltas(cur.Benchmarks)
 		if *servingIn != "" {
 			entry, err := readServingReport(*servingIn)
 			if err != nil {
@@ -513,14 +536,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote %s (%d benchmarks)\n", *outPath, len(cur.Benchmarks))
 	}
 
-	if *prevPath == "" {
+	if prev == nil {
 		fmt.Fprintln(stdout, "no previous snapshot; baseline established, nothing to compare")
 		return 0
-	}
-	prev, err := readSnapshot(*prevPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "benchreport: %v\n", err)
-		return 2
 	}
 	regs, missing := compare(prev, cur, *threshold)
 	for _, w := range missing {

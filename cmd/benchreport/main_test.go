@@ -295,3 +295,51 @@ func TestUsageErrors(t *testing.T) {
 		t.Errorf("failed bench run exit %d, want 2", code)
 	}
 }
+
+// TestSettingsMismatchExits2 compares only like with like: a previous
+// snapshot taken at another -benchtime or GOMAXPROCS makes benchreport
+// print both settings and exit 2, with no regression list, in
+// compare-only mode and before a bench run, which then writes nothing.
+func TestSettingsMismatchExits2(t *testing.T) {
+	dir := t.TempDir()
+	prev := snapFrom(t, sampleBenchOutput)
+	prev.Benchtime, prev.GOMAXPROCS = "300x", 1
+	cur := snapFrom(t, sampleBenchOutput)
+	cur.Benchtime, cur.GOMAXPROCS = "1x", 2
+	e := cur.Benchmarks["BenchmarkRunLiveRecorder"]
+	e.NsOp *= 3
+	cur.Benchmarks["BenchmarkRunLiveRecorder"] = e
+	prevPath := filepath.Join(dir, "BENCH_1.json")
+	curPath := filepath.Join(t.TempDir(), "cur.json")
+	if err := writeSnapshot(prevPath, prev); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeSnapshot(curPath, cur); err != nil {
+		t.Fatal(err)
+	}
+	stubBenches(t, sampleBenchOutput, nil)
+
+	var stdout, stderr bytes.Buffer
+	if code := realMain([]string{"-prev", prevPath, "-cur", curPath}, &stdout, &stderr); code != 2 {
+		t.Fatalf("compare-only across settings exit %d, want 2\n%s", code, stderr.String())
+	}
+	msg := stderr.String()
+	for _, want := range []string{"-benchtime 300x with GOMAXPROCS 1", "-benchtime 1x with GOMAXPROCS 2"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("stderr does not name %q:\n%s", want, msg)
+		}
+	}
+	if strings.Contains(msg+stdout.String(), "REGRESSION") {
+		t.Errorf("a mismatch printed a regression list:\n%s", msg)
+	}
+
+	// A bench run at 1x against the 300x snapshot stops before running.
+	stdout.Reset()
+	stderr.Reset()
+	if code := realMain([]string{"-dir", dir, "-benchtime", "1x"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("bench run across settings exit %d, want 2\n%s", code, stderr.String())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "BENCH_2.json")); err == nil {
+		t.Error("a run across settings wrote BENCH_2.json")
+	}
+}

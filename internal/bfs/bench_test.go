@@ -3,6 +3,7 @@ package bfs
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,11 @@ var (
 	benchG    *graph.CSR
 	benchSrc  int32
 	benchErr  error
+
+	pointOnce  sync.Once
+	pointG     *graph.CSR
+	pointPairs [][2]int32
+	pointErr   error
 )
 
 func benchGraph(b *testing.B) (*graph.CSR, int32) {
@@ -150,6 +156,69 @@ func benchRunMany64(b *testing.B, opts ManyOptions) {
 		}
 	}
 	b.SetBytes(edges.Load() * 4)
+}
+
+// pointQueryDraw builds BenchmarkPointQuery's graph and its fixed
+// draw of 4,096 source-target pairs once.
+func pointQueryDraw(tb testing.TB) (*graph.CSR, [][2]int32) {
+	tb.Helper()
+	pointOnce.Do(func() {
+		pointG, pointErr = rmat.Generate(rmat.DefaultParams(16, 16))
+		if pointErr != nil {
+			return
+		}
+		n := pointG.NumVertices()
+		rng := rand.New(rand.NewSource(1))
+		var roots []int32
+		for len(roots) < 128 {
+			if v := int32(rng.Intn(n)); pointG.Degree(v) > 0 {
+				roots = append(roots, v)
+			}
+		}
+		zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(roots)-1))
+		pointPairs = make([][2]int32, 4096)
+		for i := range pointPairs {
+			pointPairs[i] = [2]int32{roots[zipf.Uint64()], int32(rng.Intn(n))}
+		}
+	})
+	if pointErr != nil {
+		tb.Fatal(pointErr)
+	}
+	return pointG, pointPairs
+}
+
+// BenchmarkPointQuery answers reach queries drawn as the serving
+// benchmark draws them: an R-MAT SCALE 16, edge factor 16 graph built
+// once, zipf-skewed sources over 128 roots with an edge, and uniform
+// targets, through one reused workspace. One op is one query, and the
+// i-th op answers the i-th pair of a fixed draw. bidirectional is the
+// point kernel that serves reach and path; hybrid is the full
+// traversal that served them before it, reading the target's level.
+func BenchmarkPointQuery(b *testing.B) {
+	g, pairs := pointQueryDraw(b)
+	ws := NewWorkspace(g.NumVertices())
+	ctx := context.Background()
+	b.Run("bidirectional", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p := pairs[i%len(pairs)]
+			if _, _, err := PointQuery(ctx, g, p[0], p[1], ws, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hybrid", func(b *testing.B) {
+		e := DefaultEngine()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p := pairs[i%len(pairs)]
+			r, err := e.RunObserved(ctx, g, p[0], ws, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = r.Level[p[1]]
+		}
+	})
 }
 
 func BenchmarkComputeTrace(b *testing.B) {

@@ -9,7 +9,7 @@ import (
 )
 
 // Workspace holds every per-traversal buffer a BFS engine needs:
-// the result's parent/level maps, the direction and scan logs, both
+// the result's parent/level maps, the direction and scan logs, the
 // frontier queues, the per-worker output shards of the parallel
 // top-down kernels, and the visited/frontier/next bitmaps. It also owns the level dispatch
 // state (fanout): the scheduler, the kernel arguments and per-level
@@ -27,7 +27,9 @@ import (
 //     and owns it until it releases it (WorkspacePool.Put).
 //   - The engine resets it: every traversal begins by
 //     re-preparing all buffers for the new (graph, source), so a
-//     recycled Workspace can never leak prior traversal state.
+//     recycled Workspace can never leak prior traversal state. A
+//     point query (PointQuery) resets the bitmaps it reads and writes
+//     parent entries only for vertices whose bit it set.
 //   - A Result produced with a Workspace aliases the workspace's
 //     parent/level/direction storage. It is valid only until the
 //     workspace's next traversal (or its return to a pool); callers
@@ -50,6 +52,10 @@ type Workspace struct {
 	// level, so both stabilize at the widest frontier seen.
 	queue []int32
 	spare []int32
+	// aux is the third queue of a point query (PointQuery), which
+	// rotates one frontier per side and the expanding side's output
+	// through queue, spare and aux.
+	aux []int32
 
 	// Per-worker output shards for the parallel top-down kernels,
 	// hoisted here so they are built once per traversal set, not once

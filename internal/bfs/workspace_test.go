@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"crossbfs/internal/graph"
+	"crossbfs/internal/obs"
 )
 
 // firstUsable returns the first non-isolated vertex — the smallest
@@ -155,6 +156,31 @@ func TestWorkspacePoolSizeClasses(t *testing.T) {
 			t.Fatalf("Get(%d) returned capacity %d", n, ws.Capacity())
 		}
 		pool.Put(ws)
+	}
+}
+
+// TestPointQueryAllocs is the point kernel's allocation gate: after
+// warmup, point queries through a reused workspace with the Nop
+// recorder allocate nothing, with a reused path buffer or none.
+func TestPointQueryAllocs(t *testing.T) {
+	g := testRMAT(t, 12, 8, 7)
+	src := firstUsable(t, g)
+	ws := NewWorkspace(g.NumVertices())
+	path := make([]int32, 0, 64)
+	ctx := context.Background()
+	run := func() {
+		for target := int32(0); target < int32(g.NumVertices()); target += 211 {
+			if _, _, err := PointQuery(ctx, g, src, target, ws, obs.Nop, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := PointQuery(ctx, g, target, src, ws, obs.Nop, path[:0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run() // warmup: grow the three queues to this graph's widest frontiers
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Errorf("point queries allocate %.0f objects per run of %d after warmup; want 0", allocs, 2*(g.NumVertices()+210)/211)
 	}
 }
 

@@ -6,7 +6,8 @@ import (
 )
 
 // Fuzz targets: the two parsers must never panic or return a graph
-// that fails validation, no matter the input. Run the seed corpus in
+// that fails validation, and ReadFrom never one that is not symmetric,
+// no matter the input. Run the seed corpus in
 // normal `go test`; explore with `go test -fuzz=FuzzReadFrom`.
 
 func FuzzReadFrom(f *testing.F) {
@@ -37,6 +38,7 @@ func FuzzReadFrom(f *testing.F) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted graph fails validation: %v", err)
 		}
+		checkSymmetricGraph(t, g)
 		checkNonIsolated(t, "accepted graph", g)
 		checkHubs(t, "accepted graph", g, nil)
 	})

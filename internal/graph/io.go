@@ -52,8 +52,9 @@ func (g *CSR) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadFrom deserializes a graph written by WriteTo. The result is
-// validated structurally so that a truncated or corrupted file is
-// reported as an error rather than a later panic.
+// validated structurally, and checked to be symmetric, so that a
+// truncated, corrupted or directed file is reported as an error rather
+// than a later panic or a wrong traversal.
 func ReadFrom(r io.Reader) (*CSR, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var magic [8]byte
@@ -85,7 +86,44 @@ func ReadFrom(r io.Reader) (*CSR, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: corrupt file: %w", err)
 	}
+	if err := g.checkSymmetric(); err != nil {
+		return nil, fmt.Errorf("graph: corrupt file: %w", err)
+	}
 	return g, nil
+}
+
+// checkSymmetric returns an error naming an adjacency entry u->v
+// without its reverse v->u (counted with multiplicity). Every BFS
+// kernel reads the CSR as undirected, and the bottom-up and
+// point-query kernels read v's list as v's in-edges, so a directed
+// file would give wrong answers. It is one O(|E|) pass over a
+// validated graph: walking u in ascending order, the entries naming v
+// arrive in the order v's sorted list holds their reverses, so a
+// cursor per vertex walks that list.
+func (g *CSR) checkSymmetric() error {
+	n := g.NumVertices()
+	cursor := append([]int64(nil), g.Offsets[:n]...)
+	unmatched := func(u, v int32) error {
+		return fmt.Errorf("graph: adjacency not symmetric: entry %d->%d has no reverse", u, v)
+	}
+	for u := int32(0); u < int32(n); u++ {
+		for _, v := range g.Neighbors(u) {
+			c := cursor[v]
+			switch {
+			case c < g.Offsets[v+1] && g.Adj[c] == u:
+				cursor[v] = c + 1
+			case c < g.Offsets[v+1] && g.Adj[c] < u:
+				// Every vertex below u is done, and none named v for
+				// this entry of v's list.
+				return unmatched(v, g.Adj[c])
+			default:
+				return unmatched(u, v)
+			}
+		}
+	}
+	// Every entry advanced one cursor within its list, so all |E|
+	// cursor steps fill the lists exactly: none is left short.
+	return nil
 }
 
 // readChunk is the number of values readInts reads at a time.

@@ -112,6 +112,50 @@ func TestReadFromCorruptedAdjacency(t *testing.T) {
 	}
 }
 
+// TestReadFromAsymmetric loads files whose adjacency is not
+// symmetric: a directed 3-cycle, whose serial and bottom-up levels
+// differ; a file that holds one entry's reverse twice; and one whose
+// last list has an entry without a reverse. Each must be rejected with
+// an error that names an unmatched entry.
+func TestReadFromAsymmetric(t *testing.T) {
+	cases := []struct {
+		name  string
+		g     *CSR
+		entry string
+	}{
+		{"directed cycle", mustBuild(t, 3, []Edge{{0, 1}, {1, 2}, {2, 0}}, BuildOptions{}), "entry 0->1"},
+		{"multiplicity", mustBuild(t, 3, []Edge{{0, 1}, {1, 0}, {1, 0}, {1, 2}, {2, 1}}, BuildOptions{KeepDuplicates: true}), "entry 1->0"},
+		{"missing last reverse", mustBuild(t, 3, []Edge{{0, 1}, {1, 0}, {2, 1}}, BuildOptions{}), "entry 2->1"},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if _, err := c.g.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadFrom(&buf)
+		if err == nil || !strings.Contains(err.Error(), "not symmetric") || !strings.Contains(err.Error(), c.entry) {
+			t.Errorf("%s: ReadFrom error %v, want one naming %s", c.name, err, c.entry)
+		}
+	}
+}
+
+// checkSymmetricGraph fails unless every entry u->v of g has a
+// reverse v->u, counted with multiplicity.
+func checkSymmetricGraph(t testing.TB, g *CSR) {
+	t.Helper()
+	count := map[[2]int32]int{}
+	for u := int32(0); u < int32(g.NumVertices()); u++ {
+		for _, v := range g.Neighbors(u) {
+			count[[2]int32{u, v}]++
+		}
+	}
+	for e, k := range count {
+		if count[[2]int32{e[1], e[0]}] != k {
+			t.Fatalf("entry %d->%d appears %d times, its reverse %d", e[0], e[1], k, count[[2]int32{e[1], e[0]}])
+		}
+	}
+}
+
 func TestReadFromImplausibleHeader(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte("CSRGRAF1"))

@@ -113,9 +113,11 @@ func (rr *RegistryRecorder) Event(e Event) {
 		d := 0
 		if e.Dir == BottomUp {
 			d = 1
+			// Top-down levels test entries too (the point kernel's
+			// Scans); this series counts the bottom-up ones.
+			rr.scans.Add(float64(e.Scans))
 		}
 		rr.discovered[d].Add(float64(e.Discovered))
-		rr.scans.Add(float64(e.Scans))
 		rr.grains.Add(float64(e.Grains))
 		rr.frontier[d].Observe(float64(e.FrontierVertices))
 		rr.levelWall[d].Observe(e.WallDur.Seconds())

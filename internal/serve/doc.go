@@ -4,11 +4,15 @@
 //
 // A Server owns a registry of resident graphs (loaded once at
 // startup), a bounded admission gate, a shared workspace pool, and the
-// process's telemetry spine. Each query runs as one traversal:
+// process's telemetry spine. A reach or path query runs one two-sided
+// point search (bfs.PointQuery), which stops where a frontier grown
+// from each end meets the other; a khop query runs one traversal, and
+// a multi query one per source:
 //
 //   - the request deadline becomes a context deadline threaded into
-//     Engine.RunObserved, so a slow traversal stops at its next level
-//     boundary and the client gets 504 instead of a stuck connection;
+//     bfs.PointQuery or Engine.RunObserved, so a slow query stops at
+//     its next level boundary and the client gets 504 instead of a
+//     stuck connection;
 //   - admission is a fixed number of execution slots plus a bounded
 //     wait queue — a request that finds the queue full is rejected
 //     immediately with 429 and a Retry-After hint, so overload sheds
@@ -16,12 +20,13 @@
 //   - the traversal's workspace is leased from a bfs.WorkspacePool and
 //     returned when the response is encoded, so steady-state queries
 //     allocate no per-traversal buffers;
-//   - the engine is chosen per graph by a small planner (serial for
-//     tiny graphs, the direction-optimizing hybrid by default, the
-//     sharded engine for large graphs when the server is configured
-//     with ranks), mirroring how bfsrun picks kernels;
-//   - every traversal reports into internal/obs: an always-on
-//     obs.RegistryRecorder per engine, and a 1-in-K sampled flight
+//   - the full-traversal engine is chosen per graph by a small planner
+//     (serial for tiny graphs, the direction-optimizing hybrid by
+//     default, the sharded engine for large graphs when the server is
+//     configured with ranks), mirroring how bfsrun picks kernels;
+//   - every traversal and point search reports into internal/obs: an
+//     always-on obs.RegistryRecorder per engine (point searches under
+//     bfs.PointQueryEngine), and a 1-in-K sampled flight
 //     recorder (obs.Sampler over obs.Ring) whose retained traversals
 //     are dumped by the /debug/flight endpoint for post-hoc latency
 //     forensics.

@@ -119,7 +119,7 @@ func TestHandlerDeadlineIs504(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	status, fields := postQuery(t, ts, `{"kind": "reach", "source": 0, "target": 1}`)
+	status, fields := postQuery(t, ts, `{"kind": "khop", "source": 0}`)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (%v)", status, fields)
 	}
@@ -140,7 +140,7 @@ func TestHandlerQueueFullIs429WithRetryAfter(t *testing.T) {
 	go func() {
 		defer close(done)
 		resp, err := http.Post(ts.URL+"/query", "application/json",
-			strings.NewReader(`{"kind": "reach", "source": 0, "target": 1}`))
+			strings.NewReader(`{"kind": "khop", "source": 0}`))
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
@@ -230,7 +230,7 @@ func TestOperationalEndpoints(t *testing.T) {
 		defer resp.Body.Close()
 		text, _ := io.ReadAll(resp.Body)
 		for _, want := range []string{
-			`crossbfs_engine_events_total{engine="serial",kind="traversal_start"} 3`,
+			`crossbfs_engine_events_total{engine="bidirectional",kind="traversal_start"} 3`,
 			`crossbfs_admission_outcomes_total{reason="ok"} 3`,
 			"crossbfs_admission_inflight 0",
 		} {
@@ -251,7 +251,7 @@ func TestOperationalEndpoints(t *testing.T) {
 			t.Fatalf("decoding /metrics.json: %v", err)
 		}
 		if snap[`crossbfs_admission_outcomes_total{reason="ok"}`] != 3 ||
-			snap[`crossbfs_engine_events_total{engine="serial",kind="traversal_start"}`] != 3 {
+			snap[`crossbfs_engine_events_total{engine="bidirectional",kind="traversal_start"}`] != 3 {
 			t.Errorf("metrics.json counters wrong: %+v", snap)
 		}
 	})
@@ -426,7 +426,8 @@ func TestShutdownSettlesGoroutines(t *testing.T) {
 // FuzzQuery throws arbitrary bodies at POST /query through the real
 // handler. Every response is a 200 or the typed error envelope with a
 // client-facing status (400, 404, 413, 429, 504) — never a 500, never
-// a panic — and every 200 reach answer matches the serial reference.
+// a panic — and every 200 reach and path answer matches the serial
+// reference.
 func FuzzQuery(f *testing.F) {
 	g := mustRMAT(f, 9, 8, 3)
 	s := newTestServer(f, Config{DefaultDeadline: 50 * time.Millisecond}, g)
@@ -461,12 +462,12 @@ func FuzzQuery(f *testing.F) {
 		if err := json.Unmarshal(body, &q); err != nil {
 			t.Fatalf("200 for a body that does not decode: %v", err)
 		}
-		if q.Kind != KindReach {
+		if q.Kind != KindReach && q.Kind != KindPath {
 			return
 		}
 		var resp Response
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatalf("200 reach body does not decode: %v", err)
+			t.Fatalf("200 %s body does not decode: %v", q.Kind, err)
 		}
 		level, ok := levels[q.Source]
 		if !ok {
@@ -479,7 +480,36 @@ func FuzzQuery(f *testing.F) {
 		}
 		want := level[q.Target]
 		if resp.Reachable == nil || *resp.Reachable != (want != bfs.NotVisited) || resp.Distance != want {
-			t.Fatalf("reach(%d,%d) = %+v, serial level %d", q.Source, q.Target, resp, want)
+			t.Fatalf("%s(%d,%d) = %+v, serial level %d", q.Kind, q.Source, q.Target, resp, want)
+		}
+		if q.Kind == KindPath {
+			checkServedPath(t, g, level, q.Source, q.Target, resp.Path)
 		}
 	})
+}
+
+// checkServedPath checks a path answer against the serial level map
+// from source: no path to an unreachable target, and otherwise
+// level[target]+1 vertices from source to target, an edge for every
+// hop, and vertex i at level i.
+func checkServedPath(t testing.TB, g *graph.CSR, level []int32, source, target int32, path []int32) {
+	t.Helper()
+	want := level[target]
+	if want == bfs.NotVisited {
+		if len(path) != 0 {
+			t.Fatalf("path(%d,%d) = %v for an unreachable target", source, target, path)
+		}
+		return
+	}
+	if len(path) != int(want)+1 || path[0] != source || path[len(path)-1] != target {
+		t.Fatalf("path(%d,%d) = %v, want %d vertices from %d to %d", source, target, path, want+1, source, target)
+	}
+	for i, v := range path {
+		if level[v] != int32(i) {
+			t.Fatalf("path(%d,%d) = %v: vertex %d is %d at serial level %d", source, target, path, i, v, level[v])
+		}
+		if i > 0 && !g.HasEdge(path[i-1], v) {
+			t.Fatalf("path(%d,%d) = %v: no edge %d-%d", source, target, path, path[i-1], v)
+		}
+	}
 }

@@ -14,7 +14,7 @@ const (
 	// KindReach answers "is target reachable from source, and at what
 	// distance" — the OLTP point lookup.
 	KindReach = "reach"
-	// KindPath returns the BFS tree path source → target.
+	// KindPath returns a shortest path source → target.
 	KindPath = "path"
 	// KindKHop returns the per-level discovery counts out to k hops —
 	// the neighborhood-size sweep.
@@ -61,7 +61,9 @@ type SourceResult struct {
 type Response struct {
 	Graph string `json:"graph"`
 	Kind  string `json:"kind"`
-	// Engine is the kernel the planner ran, e.g. "hybrid(64,64)".
+	// Engine is the kernel that answered: bfs.PointQueryEngine
+	// ("bidirectional") for reach and path, the graph's planned engine
+	// (GraphInfo.Engine, e.g. "hybrid(64,64)") for khop and multi.
 	Engine string `json:"engine"`
 	// TraversalID keys this query's events in the flight recorder, so
 	// a slow query's trace can be fished out of /debug/flight (multi
@@ -73,10 +75,10 @@ type Response struct {
 
 	// reach and path.
 	Reachable *bool `json:"reachable,omitempty"`
-	// Distance is the BFS level of the target (reach, path; -1 when
-	// unreachable).
+	// Distance is the hop distance from source to target (reach, path;
+	// -1 when unreachable).
 	Distance int32 `json:"distance,omitempty"`
-	// Path is the BFS-tree path source → target (path kind).
+	// Path is a shortest path source → target (path kind).
 	Path []int32 `json:"path,omitempty"`
 
 	// khop.
@@ -184,28 +186,33 @@ func (s *Server) query(ctx context.Context, q Query, started time.Time) (*Respon
 		return resp, nil
 	}
 
-	// Single-traversal kinds lease one workspace and stamp the
-	// request's TraversalID over the engine's own draw, so the flight
-	// recorder groups the traversal under the ID the response reports.
+	// The other kinds lease one workspace and stamp the request's
+	// TraversalID over the kernel's own draw, so the flight recorder
+	// groups the run under the ID the response reports.
 	id := obs.NextTraversalID()
 	resp.TraversalID = id
-	rec := obs.WithTraversalID(id, sg.rec)
 	ws := s.pool.Get(sg.g.NumVertices())
 	defer s.pool.Put(ws)
-	r, err := sg.engine.RunObserved(ctx, sg.g, q.Source, ws, rec)
+	if q.Kind == KindKHop {
+		r, err := sg.engine.RunObserved(ctx, sg.g, q.Source, ws, obs.WithTraversalID(id, sg.rec))
+		if err != nil {
+			return nil, runError(err)
+		}
+		shapeKHop(r, q.K, resp)
+		return resp, nil
+	}
+	// reach and path stop where a two-sided search meets, instead of
+	// traversing the source's whole component.
+	var path []int32
+	if q.Kind == KindPath {
+		path = []int32{}
+	}
+	dist, path, err := bfs.PointQuery(ctx, sg.g, q.Source, q.Target, ws, obs.WithTraversalID(id, sg.pointRec), path)
 	if err != nil {
 		return nil, runError(err)
 	}
-	switch q.Kind {
-	case KindReach:
-		shapeReach(r, q.Target, resp)
-	case KindPath:
-		if serr := shapePath(r, q.Source, q.Target, resp); serr != nil {
-			return nil, serr
-		}
-	case KindKHop:
-		shapeKHop(r, q.K, resp)
-	}
+	reachable := dist != bfs.NotVisited
+	resp.Engine, resp.Reachable, resp.Distance, resp.Path = bfs.PointQueryEngine, &reachable, dist, path
 	return resp, nil
 }
 
@@ -235,39 +242,6 @@ func (s *Server) runMulti(ctx context.Context, sg *servedGraph, q Query, resp *R
 	if err != nil {
 		return runError(err)
 	}
-	return nil
-}
-
-// shapeReach fills the reach response from a finished traversal.
-func shapeReach(r *bfs.Result, target int32, resp *Response) {
-	reachable := r.Level[target] != bfs.NotVisited
-	resp.Reachable = &reachable
-	resp.Distance = r.Level[target]
-}
-
-// shapePath walks the BFS tree from target back to source. The walk
-// is bounded by the target's level, so a corrupt parent map cannot
-// loop; hitting one is an internal error, not a client mistake.
-func shapePath(r *bfs.Result, source, target int32, resp *Response) *Error {
-	shapeReach(r, target, resp)
-	if r.Level[target] == bfs.NotVisited {
-		return nil
-	}
-	hops := int(r.Level[target])
-	path := make([]int32, hops+1)
-	v := target
-	for i := hops; i > 0; i-- {
-		path[i] = v
-		v = r.Parent[v]
-	}
-	path[0] = v
-	if v != source {
-		return &Error{
-			Status: 500, Code: "internal",
-			Message: fmt.Sprintf("parent walk from %d did not reach source %d", target, source),
-		}
-	}
-	resp.Path = path
 	return nil
 }
 

@@ -109,15 +109,18 @@ type GraphInfo struct {
 }
 
 // servedGraph pairs a resident CSR with the engine the planner chose
-// for it at registration time, plus the graph's recorder chain: the
-// server-wide sampler extended with the engine-labeled registry
-// recorder and the per-graph query counters, all interned at AddGraph.
+// for it at registration time, plus the graph's recorder chains: the
+// server-wide sampler extended with a registry recorder labeled with
+// the planned engine (rec, for khop and multi) or with the point
+// kernel (pointRec, for reach and path), and the per-graph query
+// counters, all interned at AddGraph.
 type servedGraph struct {
-	info    GraphInfo
-	g       *graph.CSR
-	engine  bfs.Engine
-	rec     obs.Recorder
-	queries [kindCount]*obs.Cell // crossbfs_graph_queries_total{graph,kind}
+	info     GraphInfo
+	g        *graph.CSR
+	engine   bfs.Engine
+	rec      obs.Recorder
+	pointRec obs.Recorder
+	queries  [kindCount]*obs.Cell // crossbfs_graph_queries_total{graph,kind}
 }
 
 // Server is the daemon core: resident graphs, the admission gate, the
@@ -240,9 +243,10 @@ func (s *Server) AddGraph(name, origin string, g *graph.CSR) error {
 			Engine:   e.Name(),
 			Origin:   origin,
 		},
-		g:      g,
-		engine: e,
-		rec:    obs.Multi(s.sampler, rr),
+		g:        g,
+		engine:   e,
+		rec:      obs.Multi(s.sampler, rr),
+		pointRec: obs.Multi(s.sampler, obs.NewRegistryRecorder(s.registry, bfs.PointQueryEngine)),
 	}
 	qf := s.registry.Counter("crossbfs_graph_queries_total",
 		"Queries reaching a resident graph, by graph and kind.", obs.LabelGraph, obs.LabelKind)

@@ -268,7 +268,7 @@ func TestQueryDeadline(t *testing.T) {
 	defer close(be.release)
 	setEngine(t, s, "g", be)
 
-	_, serr := s.Query(context.Background(), Query{Kind: KindReach, Source: 0, Target: 1})
+	_, serr := s.Query(context.Background(), Query{Kind: KindKHop, Source: 0})
 	if serr == nil {
 		t.Fatal("query against a parked engine succeeded")
 	}
@@ -289,7 +289,7 @@ func TestQueryQueueFull(t *testing.T) {
 	// Park one query in the single slot.
 	firstDone := make(chan *Error, 1)
 	go func() {
-		_, serr := s.Query(context.Background(), Query{Kind: KindReach, Source: 0, Target: 1})
+		_, serr := s.Query(context.Background(), Query{Kind: KindKHop, Source: 0})
 		firstDone <- serr
 	}()
 	select {
@@ -322,7 +322,7 @@ func TestQueuedRequestTimesOut(t *testing.T) {
 
 	hold := make(chan *Error, 1)
 	go func() {
-		_, serr := s.Query(context.Background(), Query{Kind: KindReach, Source: 0, Target: 1, DeadlineMS: 5000})
+		_, serr := s.Query(context.Background(), Query{Kind: KindKHop, Source: 0, DeadlineMS: 5000})
 		hold <- serr
 	}()
 	select {
@@ -425,6 +425,46 @@ func TestPlanEngineCutoffs(t *testing.T) {
 	}
 }
 
+// TestQueryEngineSplit pins which kernel answers each kind on a graph
+// planned for the sharded engine: reach and path run the point search
+// and report "bidirectional", khop and multi run the planned engine,
+// and the point answers still match the serial reference.
+func TestQueryEngineSplit(t *testing.T) {
+	g := mustRMAT(t, 16, 4, 1) // at shardCutoff: sharded when configured
+	s := newTestServer(t, Config{Shards: 2}, g)
+	defer s.Close()
+	planned := s.Graphs()[0].Engine
+	if planned != "sharded(2,hybrid(64,64))" {
+		t.Fatalf("planned engine %q, want the sharded engine", planned)
+	}
+	src := firstSource(t, g)
+	ref, err := bfs.SerialEngine().Run(g, src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := int32(g.NumVertices() - 1)
+	for _, c := range []struct {
+		q      Query
+		engine string
+	}{
+		{Query{Kind: KindReach, Source: src, Target: target}, bfs.PointQueryEngine},
+		{Query{Kind: KindPath, Source: src, Target: target}, bfs.PointQueryEngine},
+		{Query{Kind: KindKHop, Source: src, K: 1}, planned},
+		{Query{Kind: KindMulti, Sources: []int32{src}}, planned},
+	} {
+		resp, serr := s.Query(context.Background(), c.q)
+		if serr != nil {
+			t.Fatalf("%s: %v", c.q.Kind, serr)
+		}
+		if resp.Engine != c.engine {
+			t.Errorf("%s answered by %q, want %q", c.q.Kind, resp.Engine, c.engine)
+		}
+		if c.engine == bfs.PointQueryEngine && resp.Distance != ref.Level[target] {
+			t.Errorf("%s(%d,%d) distance %d, serial level %d", c.q.Kind, src, target, resp.Distance, ref.Level[target])
+		}
+	}
+}
+
 func TestFlightRecorderRetainsSampledQueries(t *testing.T) {
 	g := mustRMAT(t, 9, 8, 3)
 	// SampleK 1 keeps every traversal, so the ring must retain the
@@ -496,7 +536,7 @@ func TestMetricsCountTraversals(t *testing.T) {
 		{Query{Graph: "g", Kind: KindMulti, Sources: sources, DeadlineMS: 10000}, 200},
 		{Query{Graph: "g", Kind: "dfs", Source: src}, 400},
 		{Query{Graph: "absent", Kind: KindReach, Source: 0, Target: 1}, 404},
-		{Query{Graph: "slow", Kind: KindReach, Source: 0, Target: 1, DeadlineMS: 20}, 504},
+		{Query{Graph: "slow", Kind: KindKHop, Source: 0, DeadlineMS: 20}, 504},
 	}
 	for _, m := range mix {
 		status := 200

@@ -123,7 +123,8 @@ func TestMetricsExpositionValid(t *testing.T) {
 		"crossbfs_flight_retained",
 		"# TYPE crossbfs_query_latency_seconds histogram",
 		"# TYPE crossbfs_admission_queued gauge",
-		`crossbfs_engine_events_total{engine="serial",kind="traversal_start"} 2`,
+		`crossbfs_engine_events_total{engine="serial",kind="traversal_start"} 1`,
+		`crossbfs_engine_events_total{engine="bidirectional",kind="traversal_start"} 1`,
 	} {
 		if !strings.Contains(string(page), want) {
 			t.Errorf("/metrics missing %q", want)
