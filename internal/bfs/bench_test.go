@@ -255,7 +255,10 @@ func BenchmarkValidate(b *testing.B) {
 // counts and graph scales. Besides wall time it reports MTEPS and the
 // per-traversal exchange payload (compressed frontier deltas plus
 // ghost-claim scatter) — the two axes of the communication-vs-
-// computation crossover the sharded experiment tables plot.
+// computation crossover the sharded experiment tables plot. Each
+// scale also runs the 1-worker hybrid on the same graph and source
+// (hybrid-w1): one rank exchanges nothing, so ranks1 against
+// hybrid-w1 is the sharded engine's kernel overhead.
 func BenchmarkShardedScales(b *testing.B) {
 	graphs := map[int]*graph.CSR{}
 	sources := map[int]int32{}
@@ -272,17 +275,25 @@ func BenchmarkShardedScales(b *testing.B) {
 			}
 		}
 	}
+	type row struct {
+		name string
+		eng  Engine
+	}
+	var rows []row
+	for _, ranks := range []int{1, 2, 4, 8} {
+		rows = append(rows, row{fmt.Sprintf("ranks%d", ranks), NewShardedEngine(ranks, DefaultM, DefaultN)})
+	}
+	rows = append(rows, row{"hybrid-w1", HybridEngine(DefaultM, DefaultN, 1)})
 	for _, scale := range []int{12, 14} {
-		for _, ranks := range []int{1, 2, 4, 8} {
+		for _, row := range rows {
 			g, src := graphs[scale], sources[scale]
-			eng := NewShardedEngine(ranks, DefaultM, DefaultN)
 			ws := NewWorkspace(g.NumVertices())
-			b.Run(fmt.Sprintf("scale%d/ranks%d", scale, ranks), func(b *testing.B) {
+			b.Run(fmt.Sprintf("scale%d/%s", scale, row.name), func(b *testing.B) {
 				var edges, bytes int64
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					r, err := eng.RunObserved(context.Background(), g, src, ws, nil)
+					r, err := row.eng.RunObserved(context.Background(), g, src, ws, nil)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -26,16 +26,19 @@ type tobs struct {
 	start time.Time
 }
 
-// observeStart opens a traversal's event group: it draws the
-// TraversalID, emits KindTraversalStart (carrying the graph totals and
-// whether the workspace was recycled), and returns the handle the
-// runner threads through its level loop.
+// observeStart opens a traversal's event group: it takes the
+// TraversalID of an obs.WithTraversalID wrapper, or draws one when rec
+// is not such a wrapper, emits KindTraversalStart (carrying the graph
+// totals and whether the workspace was recycled), and returns the
+// handle the runner threads through its level loop.
 func observeStart(rec obs.Recorder, g *graph.CSR, root int32, label string, reused bool) tobs {
 	o := tobs{rec: rec, live: obs.Live(rec), root: root, label: label}
 	if !o.live {
 		return o
 	}
-	o.id = obs.NextTraversalID()
+	if o.id = obs.TraversalIDOf(rec); o.id == 0 {
+		o.id = obs.NextTraversalID()
+	}
 	o.start = time.Now()
 	o.rec.Event(obs.Event{
 		Kind:             obs.KindTraversalStart,

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"crossbfs/internal/graph"
+	"crossbfs/internal/obs"
 )
 
 // sampleRoots picks up to max distinct non-isolated vertices, evenly
@@ -217,5 +218,36 @@ func TestRunManyEmptyRoots(t *testing.T) {
 	}
 	if delivered != 0 {
 		t.Fatalf("got %d results for zero roots", delivered)
+	}
+}
+
+// TestRunManyOneTraversalIDPerRoot pins one traversal-ID draw per
+// root: the dispatcher draws the root's ID and the engine takes it
+// from the wrapper instead of drawing its own. A sequential batch
+// therefore numbers its roots consecutively, and every event of a
+// root carries the root's ID.
+func TestRunManyOneTraversalIDPerRoot(t *testing.T) {
+	g := testRMAT(t, 9, 8, 2)
+	roots := sampleRoots(t, g, 4)
+	index := map[int32]uint64{}
+	for i, root := range roots {
+		index[root] = uint64(i)
+	}
+	for _, e := range []Engine{HybridEngine(64, 64, 1), NewShardedEngine(2, 64, 64)} {
+		rec := &lockedRecorder{}
+		first := obs.NextTraversalID() + 1
+		err := RunMany(context.Background(), g, roots, ManyOptions{Engine: e, Concurrency: 1, Recorder: rec},
+			func(int, int32, *Result) error { return nil })
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		if next := obs.NextTraversalID(); next != first+uint64(len(roots)) {
+			t.Errorf("%s: %d roots drew %d traversal IDs", e.Name(), len(roots), next-first)
+		}
+		for _, ev := range rec.events {
+			if want := first + index[ev.Root]; ev.TraversalID != want {
+				t.Fatalf("%s: %s event of root %d has ID %d, want %d", e.Name(), ev.Kind, ev.Root, ev.TraversalID, want)
+			}
+		}
 	}
 }

@@ -16,8 +16,8 @@ import (
 
 // Sharded is the partitioned direction-optimizing engine: N goroutine
 // "ranks" each own a contiguous, 64-aligned vertex range of a 1D
-// partition (internal/part) and run the top-down/bottom-up level
-// kernels over their own sub-CSR, exchanging frontier state once per
+// partition (internal/part) and run the single-node level kernels over
+// their own rows of the graph, exchanging frontier state once per
 // level. It reproduces the distributed-memory formulation of the
 // paper's heuristic (Buluç–Beamer, PAPERS.md) inside one process:
 //
@@ -28,18 +28,25 @@ import (
 //     update exactly-once no matter how many ranks propose the same v.
 //   - Bottom-up levels all-gather the frontier: each rank serializes
 //     its owned slice of the current frontier as a compressed word
-//     delta (bitmap.AppendDelta) and every rank ORs the others' deltas
-//     into a private full-graph replica before scanning its own rows.
+//     delta (bitmap.AppendDelta), every rank ORs the others' deltas
+//     into a private full-graph replica, and then runs bottomUpRange
+//     (hub probe, then CSR-order scan) over its owned words.
 //   - The direction is a collective decision: each level the ranks
 //     all-reduce |V|cq, |E|cq and the unvisited count, and the last
 //     rank to arrive runs the (single, shared) switching policy on the
 //     global sums — so every rank changes direction together, and the
 //     switch lands exactly where the single-box engine's would
-//     (TestShardedDirectionsMatchHybrid pins this).
+//     (TestShardedDirectionsMatchHybrid pins this, together with the
+//     per-step scan counts).
+//
+// One loop (runRank) runs every rank, with or without a fault
+// schedule: without one, a rank's membership view is fixed — it owns
+// its own range, every rank is live, the epoch stays 0 — and the
+// injection seam, checkpoints and recovery sit behind c.ft != nil.
 //
 // Sharing discipline: the result's parent/level arrays and the visited
-// bitmap are shared across ranks, but every write lands in the
-// writer's own [Lo, Hi) range, and the 64-aligned partition boundaries
+// and next bitmaps are shared across ranks, but every write lands in
+// a range the writer owns, and the 64-aligned partition boundaries
 // mean not even a bitmap word straddles two owners — so the kernels
 // use plain stores, no atomics. Cross-rank data moves only through the
 // outbox/delta slots, which are written before and read after a
@@ -66,7 +73,7 @@ type Sharded struct {
 	// many roots, and the partition depends only on (graph, ranks).
 	mu      sync.Mutex
 	cachedG *graph.CSR
-	cachedP *part.Partitioned
+	cachedL part.Layout
 }
 
 // NewShardedEngine returns the partitioned engine with the paper's
@@ -78,9 +85,6 @@ func NewShardedEngine(ranks int, m, n float64) *Sharded {
 		name:   fmt.Sprintf("sharded(%d,hybrid(%g,%g))", ranks, m, n),
 	}
 }
-
-// Ranks returns the engine's rank count.
-func (e *Sharded) Ranks() int { return e.ranks }
 
 // SetFaults installs a fault-injection schedule. Schedules carrying
 // rank-targeted events (rankcrash/ranklag/exchdrop) arm the engine's
@@ -105,20 +109,20 @@ func (e *Sharded) Run(g *graph.CSR, source int32, ws *Workspace) (*Result, error
 	return e.RunObserved(context.Background(), g, source, ws, nil)
 }
 
-// partition returns the cached partition of g, building it on first
-// use (or when the engine moves to a different graph).
-func (e *Sharded) partition(g *graph.CSR) (*part.Partitioned, error) {
+// partition returns the cached layout of g, building it on first use
+// (or when the engine moves to a different graph).
+func (e *Sharded) partition(g *graph.CSR) (part.Layout, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.cachedG == g && e.cachedP != nil {
-		return e.cachedP, nil
+	if e.cachedG == g {
+		return e.cachedL, nil
 	}
-	p, err := part.Partition(g, e.ranks)
+	l, err := part.Partition(g, e.ranks)
 	if err != nil {
-		return nil, err
+		return part.Layout{}, err
 	}
-	e.cachedG, e.cachedP = g, p
-	return p, nil
+	e.cachedG, e.cachedL = g, l
+	return l, nil
 }
 
 // RunObserved implements Engine. It carries the same fault-tolerance
@@ -151,7 +155,7 @@ func (e *Sharded) RunObserved(ctx context.Context, g *graph.CSR, source int32, w
 			return nil, err
 		}
 	}
-	p, err := e.partition(g)
+	layout, err := e.partition(g)
 	if err != nil {
 		return nil, err
 	}
@@ -166,8 +170,8 @@ func (e *Sharded) RunObserved(ctx context.Context, g *graph.CSR, source int32, w
 	ws.visited.Set(int(source))
 
 	c := &shardedRun{
-		g: g, p: p, res: r, visited: ws.visited, policy: pol,
-		ctx: ctx, o: &o, ranks: e.ranks, source: source,
+		g: g, layout: layout, res: r, visited: ws.visited, next: ws.next,
+		policy: pol, ctx: ctx, o: &o, ranks: e.ranks, source: source,
 		outboxes: make([][][]int32, e.ranks),
 		deltas:   make([][]byte, e.ranks),
 		prevDir:  Direction(-1),
@@ -178,10 +182,6 @@ func (e *Sharded) RunObserved(ctx context.Context, g *graph.CSR, source int32, w
 		c.ft = newShardedFT(e.faults, e.ftOpts, e.ranks)
 	}
 
-	states := make([]*rankState, e.ranks)
-	for i := range states {
-		states[i] = getRankState(e.ranks, g.NumVertices())
-	}
 	var wg sync.WaitGroup
 	if c.ft != nil {
 		// The watchdog signals its own exit through ft.wdDone; keeping
@@ -193,8 +193,10 @@ func (e *Sharded) RunObserved(ctx context.Context, g *graph.CSR, source int32, w
 	//lint:ctx-ok each rank checks ctx every level and every ctxStride kernel iterations; the spawn loop itself is O(ranks)
 	for rank := 0; rank < e.ranks; rank++ {
 		wg.Add(1)
-		go func(rank int, rs *rankState) {
+		go func(rank int) {
 			defer wg.Done()
+			rs := getRankState(c.ranks)
+			defer rankStatePool.Put(rs)
 			defer func() {
 				if v := recover(); v != nil {
 					var perr error
@@ -202,20 +204,18 @@ func (e *Sharded) RunObserved(ctx context.Context, g *graph.CSR, source int32, w
 					c.fail(perr)
 				}
 			}()
-			c.rankLoop(rank, rs)
-		}(rank, states[rank])
+			c.runRank(rank, rs)
+		}(rank)
 	}
-	// Every rank goroutine has exited before Run returns — on success,
-	// cancellation, and panic alike — so the workspace and the pooled
-	// rank states are quiescent whenever the caller sees them again.
+	// Every rank goroutine has returned its pooled state and exited
+	// before Run returns — on success, cancellation, and panic alike —
+	// so the workspace and the pooled rank states are quiescent
+	// whenever the caller sees them again.
 	wg.Wait()
 	if c.ft != nil {
 		close(c.ft.wdStop)
 		<-c.ft.wdDone
 		r.Recovery = c.ft.stats
-	}
-	for _, rs := range states {
-		putRankState(rs)
 	}
 	if c.err != nil {
 		return nil, c.err
@@ -231,61 +231,59 @@ func (e *Sharded) RunObserved(ctx context.Context, g *graph.CSR, source int32, w
 	return r, nil
 }
 
-// rankState is the pooled per-rank working set: the owned frontier
-// queues, the private full-graph frontier replica for bottom-up
-// levels, the per-destination outboxes, and the delta scratch buffer.
+// rankState is the pooled per-rank working set: the rank's frontier
+// entering the level (queue, with its degree sum ecq and the rank's
+// unvisited count) and the queue the level builds (next), the
+// per-segment outboxes and delta buffers, the rank's membership view,
+// and front: the private full-graph frontier replica of bottom-up
+// levels, which between levels is also the scratch bitmap that
+// checkpoints are encoded from and restored into.
 type rankState struct {
-	queue, next []int32
-	out         [][]int32
-	delta       []byte
-	front       *bitmap.Bitmap
-
-	// Fault-tolerance scratch, touched only by rankLoopFT: ck is the
-	// checkpoint encode/decode bitmap, segDeltas the per-owned-segment
-	// bottom-up delta buffers (indexed by segment id; a rank may own
-	// several segments after adopting a dead rank's range).
-	ck        *bitmap.Bitmap
-	segDeltas [][]byte
+	queue, next    []int32
+	ecq, unvisited int64
+	out            [][]int32
+	segDeltas      [][]byte
+	view           rankView
+	front          *bitmap.Bitmap
 }
 
 // rankStatePool recycles rank states across traversals (and across
 // engines — the state carries no graph identity; everything is resized
 // or truncated before reuse).
-var rankStatePool = sync.Pool{New: func() any { return &rankState{} }}
+var rankStatePool = sync.Pool{New: func() any { return &rankState{front: bitmap.New(0)} }}
 
-func getRankState(ranks, n int) *rankState {
+// getRankState returns a pooled rank state with per-segment slots for
+// ranks segments. Every user of front resizes it to the graph first.
+func getRankState(ranks int) *rankState {
 	rs := rankStatePool.Get().(*rankState)
 	if len(rs.out) < ranks {
-		grown := make([][]int32, ranks)
-		copy(grown, rs.out)
-		rs.out = grown
-	}
-	if rs.front == nil {
-		rs.front = bitmap.New(n)
+		rs.out = append(rs.out, make([][]int32, ranks-len(rs.out))...)
+		rs.segDeltas = append(rs.segDeltas, make([][]byte, ranks-len(rs.segDeltas))...)
 	}
 	return rs
 }
-
-func putRankState(rs *rankState) { rankStatePool.Put(rs) }
 
 // shardedRun is the shared state of one sharded traversal: the global
 // result arrays, the cross-rank exchange slots, and the collective.
 type shardedRun struct {
 	g       *graph.CSR
-	p       *part.Partitioned
+	layout  part.Layout
 	res     *Result
 	visited *bitmap.Bitmap
-	policy  Policy
-	ctx     context.Context
-	o       *tobs
-	ranks   int
-	source  int32
+	// next receives each bottom-up level's discoveries; every rank
+	// writes only the words of the segments it owns.
+	next   *bitmap.Bitmap
+	policy Policy
+	ctx    context.Context
+	o      *tobs
+	ranks  int
+	source int32
 
-	// Exchange slots, indexed by source rank. A rank writes only its
-	// own slot before the exchange barrier and reads the others only
-	// after it.
-	outboxes [][][]int32 // [src][dst] flat (v, u) claim pairs (top-down)
-	deltas   [][]byte    // [src] owned-range frontier word delta (bottom-up)
+	// Exchange slots. A rank writes only its own outbox row and the
+	// delta slots of the segments it owns before the exchange barrier,
+	// and reads the others only after it.
+	outboxes [][][]int32 // [src rank][dst segment] flat (v, u) claim pairs (top-down)
+	deltas   [][]byte    // [segment] owned-range frontier word delta (bottom-up)
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -294,8 +292,7 @@ type shardedRun struct {
 	err     error
 
 	// ft is the fault-tolerance state, nil unless the installed
-	// schedule carries rank faults — the no-fault hot path never
-	// branches past this nil check. Guarded by mu. See sharded_ft.go.
+	// schedule carries rank faults. Guarded by mu. See sharded_ft.go.
 	ft *shardedFT
 
 	// Collective state, mutated only under mu. The choose round sums
@@ -307,10 +304,29 @@ type shardedRun struct {
 	runDone             bool
 	stepStart           time.Time
 	prevDir             Direction
+	sum                 levelTally
+}
 
-	found, scans              int64
+// levelTally is one rank's outcome of one level: the vertices it
+// discovered and their degree sum (its next |E|cq), the entries its
+// bottom-up kernel tested, and its exchange volume — delta bytes
+// published, claim bytes scattered, claims received and applied as
+// owner. endRound sums the live ranks' tallies into the level's
+// records.
+type levelTally struct {
+	found, degrees, scans     int64
 	frontierBytes, ghostBytes int64
 	ghostSent, ghostApplied   int64
+}
+
+func (t *levelTally) add(o levelTally) {
+	t.found += o.found
+	t.degrees += o.degrees
+	t.scans += o.scans
+	t.frontierBytes += o.frontierBytes
+	t.ghostBytes += o.ghostBytes
+	t.ghostSent += o.ghostSent
+	t.ghostApplied += o.ghostApplied
 }
 
 // fail records the first error and wakes every rank blocked in a
@@ -400,194 +416,242 @@ func (c *shardedRun) round(rank int, epoch uint64, arrive, leader func()) error 
 // inside a level; cancellation is honored within one stride.
 const ctxStride = 4096
 
-// rankLoop is one rank's whole traversal. Any error has been published
-// via fail (or observed from a round) by the time it returns.
-func (c *shardedRun) rankLoop(rank int, rs *rankState) {
-	if c.ft != nil {
-		// Fault tolerance swaps in the multi-segment kernels and the
-		// checkpoint/recovery loop; the no-fault hot path below stays
-		// untouched.
-		c.rankLoopFT(rank, rs)
-		return
-	}
-	sh := c.p.Shards[rank]
-	lo, hi := int(sh.Lo), int(sh.Hi)
-	loW, hiW := c.p.Layout.WordRange(rank)
-	sub := sh.Sub
-	layout := &c.p.Layout
-
-	queue := rs.queue[:0]
-	next := rs.next[:0]
-	// Keep grown buffers pooled no matter which exit path runs.
-	defer func() { rs.queue, rs.next = queue, next }()
-
-	unvisitedLocal := int64(hi - lo)
-	if sh.Owns(c.source) {
-		queue = append(queue, c.source)
-		unvisitedLocal--
+// runRank is one rank's whole traversal, with or without a fault
+// schedule. Without one the rank's view is fixed (it owns its own
+// segment, every rank is live, the epoch is 0) and every c.ft check
+// below is false. Any error has been published via fail (or observed
+// from a round) by the time it returns.
+func (c *shardedRun) runRank(rank int, rs *rankState) {
+	c.mu.Lock()
+	rs.view.refresh(c.ft, rank, c.ranks)
+	c.mu.Unlock()
+	lo, hi := c.layout.Range(rank)
+	rs.queue, rs.ecq, rs.unvisited = rs.queue[:0], 0, int64(hi-lo)
+	if c.source >= lo && c.source < hi {
+		rs.queue = append(rs.queue, c.source)
+		rs.ecq = c.g.Degree(c.source)
+		rs.unvisited--
 	}
 	step := int32(1)
+	if c.ft != nil {
+		// The frontier entering level 1 is checkpointed before any level
+		// runs, so even a first-level death is replayable.
+		c.writeCheckpoint(rank, rs, rs.queue, step)
+	}
 
 	for {
 		if err := c.ctx.Err(); err != nil {
 			c.fail(err)
 			return
 		}
-		var ecq int64
-		for _, v := range queue {
-			ecq += sub.Degree(v - int32(lo))
-		}
-		dir, runDone, err := c.chooseRound(rank, 0, int64(len(queue)), ecq, unvisitedLocal, step)
-		if err != nil || runDone {
+		dir, runDone, err := c.chooseRound(rank, rs.view.epoch, int64(len(rs.queue)), rs.ecq, rs.unvisited, step)
+		if err == nil && runDone {
 			return
 		}
-
-		next = next[:0]
-		var found, scans int64
-		var frontierBytes, ghostSentBytes int64
-		var ghostRecv, ghostApplied int64
-
-		switch dir {
-		case TopDown:
-			out := rs.out[:c.ranks]
-			for d := range out {
-				out[d] = out[d][:0]
+		var t levelTally
+		if err == nil {
+			switch dir {
+			case TopDown:
+				t, err = c.topDownRank(rank, rs, step)
+			case BottomUp:
+				t, err = c.bottomUpRank(rank, rs, step)
+			default:
+				err = fmt.Errorf("bfs: policy returned unknown direction %d", dir)
+				c.fail(err)
 			}
-			parent, level := c.res.Parent, c.res.Level
-			for i, u := range queue {
-				if i%ctxStride == ctxStride-1 {
-					if err := c.ctx.Err(); err != nil {
-						c.fail(err)
-						return
-					}
-				}
-				for _, v := range sub.Neighbors(u - int32(lo)) {
-					if int(v) >= lo && int(v) < hi {
-						if !c.visited.Get(int(v)) {
-							c.visited.Set(int(v))
-							parent[v] = u   //lint:shared-ok rank-owned row: v is in this rank's [Lo,Hi) and no other rank writes there
-							level[v] = step //lint:shared-ok rank-owned row: v is in this rank's [Lo,Hi) and no other rank writes there
-							next = append(next, v)
-						}
-					} else {
-						out[layout.Owner(v)] = append(out[layout.Owner(v)], v, u)
-					}
-				}
+		}
+		if err == nil && c.ft != nil {
+			// Checkpoint the next level's entry frontier before committing
+			// this one: after endRound succeeds, any rank may need to
+			// replay level step+1, and this is the delta it will read.
+			c.writeCheckpoint(rank, rs, rs.next, step+1)
+		}
+		if err == nil {
+			err = c.endRound(rank, rs.view.epoch, step, dir, t)
+		}
+		if err != nil {
+			if c.recoverLevel(err, rank, rs, step) {
+				continue
 			}
-			c.outboxes[rank] = out
-			for d, pairs := range out {
-				if d != rank {
-					ghostSentBytes += int64(len(pairs)) * 4
-				}
-			}
-			// Exchange: barrier so every outbox is complete, then apply
-			// the claims addressed to this rank.
-			applyGhosts := func() error {
-				if err := c.round(rank, 0, nil, nil); err != nil {
-					return err
-				}
-				for s := 0; s < c.ranks; s++ {
-					if s == rank {
-						continue
-					}
-					in := c.outboxes[s][rank]
-					for i := 0; i+1 < len(in); i += 2 {
-						v, u := in[i], in[i+1]
-						ghostRecv++
-						if !c.visited.Get(int(v)) {
-							c.visited.Set(int(v))
-							parent[v] = u   //lint:shared-ok rank-owned row: the outbox routed v to its owner and only the owner applies it
-							level[v] = step //lint:shared-ok rank-owned row: the outbox routed v to its owner and only the owner applies it
-							next = append(next, v)
-							ghostApplied++
-						}
-					}
-				}
-				return nil
-			}
-			if err := c.observeExchange(rank, step, dir, &ghostSentBytes, applyGhosts); err != nil {
-				return
-			}
-			if c.o.live && c.ranks > 1 {
-				c.o.event(obs.Event{
-					Kind: obs.KindGhostUpdate, Step: step, Dir: obs.DirNone,
-					Index: int32(rank), Scans: ghostRecv, Discovered: ghostApplied,
-					Bytes: ghostRecv * 8, Wall: time.Now(),
-				})
-			}
-			found = int64(len(next))
-
-		case BottomUp:
-			// Materialize this rank's owned slice of the current
-			// frontier, publish it as a compressed word delta, and merge
-			// the other ranks' deltas into the private replica.
-			rs.front.Resize(c.g.NumVertices()) // clear + fit
-			for _, v := range queue {
-				rs.front.Set(int(v))
-			}
-			if c.ranks > 1 {
-				delta := rs.front.AppendDelta(rs.delta[:0], loW, hiW)
-				rs.delta = delta
-				c.deltas[rank] = delta
-				frontierBytes = int64(len(delta))
-			}
-			gatherFrontier := func() error {
-				if err := c.round(rank, 0, nil, nil); err != nil {
-					return err
-				}
-				for s := 0; s < c.ranks; s++ {
-					if s == rank {
-						continue
-					}
-					sLoW, _ := c.p.Layout.WordRange(s)
-					if _, err := rs.front.ApplyDelta(c.deltas[s], sLoW); err != nil {
-						err = fmt.Errorf("bfs: sharded rank %d: %w", rank, err)
-						c.fail(err)
-						return err
-					}
-				}
-				return nil
-			}
-			if err := c.observeExchange(rank, step, dir, &frontierBytes, gatherFrontier); err != nil {
-				return
-			}
-			// Bottom-up scan of the owned rows against the replica.
-			parent, level := c.res.Parent, c.res.Level
-			for v := lo; v < hi; v++ {
-				if v%ctxStride == ctxStride-1 {
-					if err := c.ctx.Err(); err != nil {
-						c.fail(err)
-						return
-					}
-				}
-				if c.visited.Get(v) {
-					continue
-				}
-				for _, u := range sub.Neighbors(int32(v - lo)) {
-					scans++
-					if rs.front.Get(int(u)) {
-						c.visited.Set(v)
-						parent[v] = u   //lint:shared-ok rank-owned row: v iterates this rank's [Lo,Hi) only
-						level[v] = step //lint:shared-ok rank-owned row: v iterates this rank's [Lo,Hi) only
-						next = append(next, int32(v))
-						break
-					}
-				}
-			}
-			found = int64(len(next))
-
-		default:
-			c.fail(fmt.Errorf("bfs: policy returned unknown direction %d", dir))
 			return
 		}
-
-		if err := c.endRound(rank, 0, step, dir, found, scans, frontierBytes, ghostSentBytes, ghostRecv, ghostApplied); err != nil {
-			return
-		}
-		unvisitedLocal -= found
-		queue, next = next, queue
+		rs.queue, rs.next = rs.next, rs.queue
+		rs.ecq = t.degrees
+		rs.unvisited -= t.found
 		step++
 	}
+}
+
+// topDownRank runs the rank's share of a top-down level. It expands
+// its queue over g's rows: a target in a segment the rank owns is
+// claimed in place (the rank's own range is tested first, so only a
+// remote target pays for Layout.Owner), and any other target goes to
+// its segment's outbox as a (v, u) pair. After the exchange barrier it
+// applies the pairs addressed to its segments. The discoveries land in
+// rs.next.
+func (c *shardedRun) topDownRank(rank int, rs *rankState, step int32) (levelTally, error) {
+	var t levelTally
+	g, visited, view := c.g, c.visited, &rs.view
+	parent, level := c.res.Parent, c.res.Level
+	lo, hi := c.layout.Range(rank)
+	out := rs.out[:c.ranks]
+	for d := range out {
+		out[d] = out[d][:0]
+	}
+	next := rs.next[:0]
+	var degrees int64
+	for i, u := range rs.queue {
+		if i%ctxStride == ctxStride-1 {
+			if err := c.ctx.Err(); err != nil {
+				c.fail(err)
+				return t, err
+			}
+		}
+		for _, v := range g.Neighbors(u) {
+			if v < lo || v >= hi {
+				if seg := c.layout.Owner(v); !view.mine[seg] {
+					out[seg] = append(out[seg], v, u)
+					continue
+				}
+			}
+			if !visited.Get(int(v)) {
+				visited.Set(int(v))
+				parent[v] = u   //lint:shared-ok owned segment: v is in a segment this rank owns this epoch and ownership is exclusive
+				level[v] = step //lint:shared-ok owned segment: v is in a segment this rank owns this epoch and ownership is exclusive
+				next = append(next, v)
+				degrees += g.Degree(v)
+			}
+		}
+	}
+	rs.next, t.degrees = next, degrees
+	c.outboxes[rank] = out
+	for _, pairs := range out {
+		t.ghostBytes += int64(len(pairs)) * 4
+	}
+	if c.ft != nil {
+		if err := c.injectSeam(rank, step); err != nil {
+			return t, err
+		}
+	}
+	// Exchange: barrier so every outbox is complete, then apply the
+	// claims addressed to this rank's segments.
+	applyGhosts := func() error {
+		if err := c.round(rank, view.epoch, nil, nil); err != nil {
+			return err
+		}
+		// The round completing proves the membership did not change
+		// inside it, so the view's live set is exact here. A rank's
+		// outbox rows for the segments it owns are empty by
+		// construction, so s ranges over remote sources.
+		for _, s := range view.live {
+			if s == rank {
+				continue
+			}
+			for _, seg := range view.owned {
+				in := c.outboxes[s][seg]
+				for i := 0; i+1 < len(in); i += 2 {
+					v, u := in[i], in[i+1]
+					t.ghostSent++
+					if !visited.Get(int(v)) {
+						visited.Set(int(v))
+						parent[v] = u   //lint:shared-ok owned segment: the outbox routed v to its owning segment and only the current owner applies it
+						level[v] = step //lint:shared-ok owned segment: the outbox routed v to its owning segment and only the current owner applies it
+						rs.next = append(rs.next, v)
+						t.degrees += g.Degree(v)
+						t.ghostApplied++
+					}
+				}
+			}
+		}
+		return nil
+	}
+	if err := c.observeExchange(rank, step, TopDown, &t.ghostBytes, applyGhosts); err != nil {
+		return t, err
+	}
+	if c.o.live && c.ranks > 1 {
+		c.o.event(obs.Event{
+			Kind: obs.KindGhostUpdate, Step: step, Dir: obs.DirNone,
+			Index: int32(rank), Scans: t.ghostSent, Discovered: t.ghostApplied,
+			Bytes: t.ghostSent * 8, Wall: time.Now(),
+		})
+	}
+	t.found = int64(len(rs.next))
+	return t, nil
+}
+
+// bottomUpRank runs the rank's share of a bottom-up level. It
+// publishes its owned slice of the frontier as one compressed word
+// delta per owned segment, merges the other segments' deltas into its
+// private replica after the exchange barrier, and runs bottomUpRange
+// over each owned segment against the replica. A non-empty segment
+// starts on a word boundary and ends on one or at |V|, as the kernel
+// requires, and the kernel writes only the segment's words of c.next.
+// The rank then ORs those words into visited and reads the next queue
+// back from them.
+func (c *shardedRun) bottomUpRank(rank int, rs *rankState, step int32) (levelTally, error) {
+	var t levelTally
+	view := &rs.view
+	rs.front.Resize(c.g.NumVertices()) // clear + fit
+	for _, v := range rs.queue {
+		rs.front.Set(int(v))
+	}
+	if c.ranks > 1 {
+		for _, seg := range view.owned {
+			loW, hiW := c.layout.WordRange(seg)
+			delta := rs.front.AppendDelta(rs.segDeltas[seg][:0], loW, hiW)
+			rs.segDeltas[seg] = delta
+			c.deltas[seg] = delta
+			t.frontierBytes += int64(len(delta))
+		}
+	}
+	if c.ft != nil {
+		if err := c.injectSeam(rank, step); err != nil {
+			return t, err
+		}
+	}
+	gatherFrontier := func() error {
+		if err := c.round(rank, view.epoch, nil, nil); err != nil {
+			return err
+		}
+		for seg := 0; seg < c.ranks; seg++ {
+			if view.mine[seg] {
+				continue
+			}
+			segLoW, _ := c.layout.WordRange(seg)
+			if _, err := rs.front.ApplyDelta(c.deltas[seg], segLoW); err != nil {
+				err = fmt.Errorf("bfs: sharded rank %d: %w", rank, err)
+				c.fail(err)
+				return err
+			}
+		}
+		return nil
+	}
+	if err := c.observeExchange(rank, step, BottomUp, &t.frontierBytes, gatherFrontier); err != nil {
+		return t, err
+	}
+
+	next := rs.next[:0]
+	words := c.next.Words()
+	for _, seg := range view.owned {
+		lo, hi := c.layout.Range(seg)
+		for from := int(lo); from < int(hi); from += ctxStride {
+			if err := c.ctx.Err(); err != nil {
+				c.fail(err)
+				return t, err
+			}
+			found, scans, degrees := bottomUpRange(c.g, c.res, c.visited, rs.front, c.next, step, from, min(from+ctxStride, int(hi)))
+			t.found += found
+			t.scans += scans
+			t.degrees += degrees
+		}
+		loW, hiW := c.layout.WordRange(seg)
+		for wi := loW; wi < hiW; wi++ {
+			c.visited.OrWord(wi, words[wi])
+		}
+		next = c.next.AppendSetWords(next, loW, hiW)
+	}
+	rs.next = next
+	return t, nil
 }
 
 // chooseRound all-reduces (|V|cq, |E|cq, unvisited) and has the leader
@@ -631,9 +695,7 @@ func (c *shardedRun) chooseRound(rank int, epoch uint64, vcq, ecq, unvisitedLoca
 			})
 		}
 		c.prevDir = c.dir
-		c.found, c.scans = 0, 0
-		c.frontierBytes, c.ghostBytes = 0, 0
-		c.ghostSent, c.ghostApplied = 0, 0
+		c.sum = levelTally{}
 	})
 	if err != nil {
 		return 0, false, err
@@ -653,21 +715,16 @@ func (c *shardedRun) chooseRound(rank int, epoch uint64, vcq, ecq, unvisitedLoca
 // the level event, then clears the accumulators for the next level. A
 // round aborted by a membership change never reaches the leader, so a
 // replayed level is counted once.
-func (c *shardedRun) endRound(rank int, epoch uint64, step int32, dir Direction, found, scans, frontierBytes, ghostSentBytes, ghostRecv, ghostApplied int64) error {
+func (c *shardedRun) endRound(rank int, epoch uint64, step int32, dir Direction, t levelTally) error {
 	return c.round(rank, epoch, func() {
-		c.found += found
-		c.scans += scans
-		c.frontierBytes += frontierBytes
-		c.ghostBytes += ghostSentBytes
-		c.ghostSent += ghostRecv
-		c.ghostApplied += ghostApplied
+		c.sum.add(t)
 	}, func() {
 		c.res.Directions = append(c.res.Directions, dir)
-		c.res.StepScans = append(c.res.StepScans, c.scans)
+		c.res.StepScans = append(c.res.StepScans, c.sum.scans)
 		c.res.Exchanges = append(c.res.Exchanges, ExchangeStats{
 			Step: int(step), Dir: dir,
-			FrontierBytes: c.frontierBytes, GhostBytes: c.ghostBytes,
-			GhostSent: c.ghostSent, GhostApplied: c.ghostApplied,
+			FrontierBytes: c.sum.frontierBytes, GhostBytes: c.sum.ghostBytes,
+			GhostSent: c.sum.ghostSent, GhostApplied: c.sum.ghostApplied,
 		})
 		c.res.VisitedCount += c.vcq
 		c.res.TraversedEdges += c.ecq
@@ -676,9 +733,9 @@ func (c *shardedRun) endRound(rank int, epoch uint64, step int32, dir Direction,
 				Kind: obs.KindLevel, Step: step, Dir: obs.Direction(dir),
 				FrontierVertices: c.vcq,
 				FrontierEdges:    c.ecq,
-				Discovered:       c.found,
+				Discovered:       c.sum.found,
 				Unvisited:        c.unvisited,
-				Scans:            c.scans,
+				Scans:            c.sum.scans,
 				Grains:           int64(c.ranks),
 				Workers:          int32(c.ranks),
 				Wall:             c.stepStart,

@@ -6,10 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"crossbfs/internal/fault"
+	"crossbfs/internal/graph"
+	"crossbfs/internal/invariant"
 	"crossbfs/internal/obs"
 )
 
@@ -42,7 +45,10 @@ func mustParseFaults(t *testing.T, spec string, seed uint64) *fault.Schedule {
 // engine under injection either recovers onto survivors or escalates
 // with a typed error — and when it completes, its level map and
 // invariant-checked parent tree agree with the serial reference
-// exactly as a clean run's would. Workspaces are reused across every
+// exactly as a clean run's would, and its directions and per-step
+// scan counts equal the 1-worker hybrid's: a replayed level reruns
+// the bottom-up kernel on the same visited set and frontier, and only
+// the committed run is counted. Workspaces are reused across every
 // failure path to check the pool hygiene too.
 func TestShardedChaosMatchesSerial(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -51,6 +57,10 @@ func TestShardedChaosMatchesSerial(t *testing.T) {
 		want, err := SerialEngine().Run(g, src, nil)
 		if err != nil {
 			t.Fatalf("%s: Serial: %v", name, err)
+		}
+		hybrid, err := Run(context.Background(), g, src, Options{Policy: MN{M: 14, N: 24}, Workers: 1}, nil)
+		if err != nil {
+			t.Fatalf("%s: Hybrid: %v", name, err)
 		}
 		ws := NewWorkspace(g.NumVertices())
 		for _, ranks := range []int{2, 4, 8} {
@@ -68,6 +78,10 @@ func TestShardedChaosMatchesSerial(t *testing.T) {
 				}
 				mustInvariants(t, label, g, r)
 				sameTraversal(t, label, want, r)
+				if !slices.Equal(r.Directions, hybrid.Directions) {
+					t.Fatalf("%s: directions %v, hybrid %v", label, r.Directions, hybrid.Directions)
+				}
+				sameScans(t, label, hybrid, r)
 				crashes, hasDrop := chaosExpectedLost(spec, ranks, r.NumLevels())
 				if hasDrop {
 					// Exhausted exchange retries fence ranks too, so
@@ -332,4 +346,91 @@ func TestShardedChaosContextCancel(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	settleGoroutines(t, "chaos cancel", base)
+}
+
+// FuzzShardedMatchesSerial decodes bytes into a symmetrized graph of
+// up to 512 vertices (so several ranks own vertices), a rank count
+// from 1 to 8, (M, N), a source and, optionally, one crash-only
+// schedule rankcrash:r@s. The run must match the references — the
+// serial level map, a parent tree that passes invariant.Check, and the
+// 1-worker hybrid's directions and per-step scan counts — unless the
+// crash kills every rank, which must fail with a typed *fault.Error.
+//
+// Layout: bytes 0-1 give |V|-1, byte 2 the ranks-1, bytes 3 and 4 M
+// and N, bytes 5-6 the source, byte 7 the schedule (bit 0 arms it,
+// bits 1-3 pick the rank, bits 4-7 the step-1), and every 4 bytes
+// after that an edge as two little-endian vertex ids.
+func FuzzShardedMatchesSerial(f *testing.F) {
+	seed := func(n int, ranks, sched byte) []byte {
+		b := []byte{byte(n - 1), byte((n - 1) >> 8), ranks - 1, 14, 24, 0, 0, sched}
+		for v := 0; v < n; v++ {
+			for _, w := range []int{(v + 1) % n, (v*37 + 11) % n} {
+				b = append(b, byte(v), byte(v>>8), byte(w), byte(w>>8))
+			}
+		}
+		return b
+	}
+	f.Add(seed(300, 4, 0))
+	f.Add(seed(300, 4, 1|1<<1|1<<4)) // rank 1 crashes at step 2
+	f.Add(seed(512, 8, 1|3<<1|2<<4)) // rank 3 crashes at step 3
+	f.Add(seed(200, 1, 1))           // the only rank crashes at step 1
+	f.Add([]byte{9, 0, 2, 1, 1, 0, 0, 0, 1, 0, 2, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 8 {
+			return
+		}
+		word := func(i int) int { return int(data[i]) | int(data[i+1])<<8 }
+		n := 1 + word(0)%512
+		ranks := 1 + int(data[2])%8
+		m, nn := float64(1+data[3]%128), float64(1+data[4]%128)
+		src := int32(word(5) % n)
+		var edges []graph.Edge
+		for i := 8; i+3 < len(data); i += 4 {
+			edges = append(edges, graph.Edge{From: int32(word(i) % n), To: int32(word(i+2) % n)})
+		}
+		g, err := graph.Build(n, edges, graph.BuildOptions{Symmetrize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SerialEngine().Run(g, src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hybrid, err := Run(context.Background(), g, src, Options{Policy: MN{M: m, N: nn}, Workers: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		e := NewShardedEngine(ranks, m, nn)
+		label := fmt.Sprintf("n=%d ranks=%d mn=(%g,%g) src=%d", n, ranks, m, nn, src)
+		crashStep := 0
+		if data[7]&1 != 0 {
+			crashStep = 1 + int(data[7]>>4)
+			spec := fmt.Sprintf("rankcrash:%d@%d", int(data[7]>>1&7)%ranks, crashStep)
+			label += " " + spec
+			e.SetFaults(mustParseFaults(t, spec, 1))
+		}
+		// With one rank a crash that fires leaves no survivor; with more,
+		// one crash always leaves some.
+		collapse := ranks == 1 && crashStep > 0 && crashStep <= len(hybrid.Directions)
+		r, err := e.Run(g, src, nil)
+		if collapse {
+			var fe *fault.Error
+			if !errors.As(err, &fe) {
+				t.Fatalf("%s: every rank died, got err %v (%T), want *fault.Error", label, err, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		sameTraversal(t, label, want, r)
+		if err := invariant.Check(g, src, r.Parent, r.Level); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !slices.Equal(r.Directions, hybrid.Directions) {
+			t.Fatalf("%s: directions %v, hybrid %v", label, r.Directions, hybrid.Directions)
+		}
+		sameScans(t, label, hybrid, r)
+	})
 }

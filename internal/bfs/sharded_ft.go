@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"crossbfs/internal/bitmap"
 	"crossbfs/internal/fault"
 	"crossbfs/internal/obs"
 	"crossbfs/internal/part"
@@ -15,8 +14,10 @@ import (
 // injection at the exchange seam, per-level frontier checkpoints, a
 // barrier watchdog, and checkpoint-replay recovery onto survivor
 // ranks. It is armed only when the installed fault.Schedule carries
-// rank-targeted events — the no-fault traversal never branches past a
-// single `c.ft != nil` check. DESIGN.md §4e documents the protocol.
+// rank-targeted events. The one rank loop (runRank) calls into it
+// behind `c.ft != nil` checks: the seam before each exchange, the
+// checkpoint before each level commits, and recovery on a membership
+// change. DESIGN.md §4e documents the protocol.
 //
 // The safety argument, in brief: every membership change happens while
 // the dying rank is quiescent at a seam (injected crashes and retry
@@ -164,6 +165,8 @@ func newShardedFT(sched *fault.Schedule, opts FTOptions, ranks int) *shardedFT {
 // only under the barrier mutex (at recovery), read freely by the
 // kernels. Between refreshes the membership cannot change without the
 // rank seeing errEpochChanged first, so stale reads are impossible.
+// Without a fault schedule the view is fixed: the rank owns its own
+// segment, every rank is live, and the epoch is 0.
 type rankView struct {
 	epoch uint64
 	owned []int  // segments this rank owns, ascending
@@ -171,24 +174,28 @@ type rankView struct {
 	mine  []bool // mine[seg]: segment is owned by this rank
 }
 
-// refresh snapshots the current membership for rank. Caller holds mu.
-func (v *rankView) refresh(ft *shardedFT, rank int) {
-	v.epoch = ft.epoch
-	v.owned = v.owned[:0]
-	v.live = v.live[:0]
-	if v.mine == nil {
-		v.mine = make([]bool, len(ft.owner))
-	}
-	for seg, r := range ft.owner {
-		v.mine[seg] = r == rank
-		if r == rank {
-			v.owned = append(v.owned, seg)
+// refresh snapshots the current membership for rank; ft is nil
+// without a fault schedule. Segments are the original ranks' ranges,
+// so one index walks both. The slices are reused, so a pooled view
+// allocates nothing. Caller holds mu.
+func (v *rankView) refresh(ft *shardedFT, rank, ranks int) {
+	v.epoch, v.owned, v.live = 0, v.owned[:0], v.live[:0]
+	v.mine = append(v.mine[:0], make([]bool, ranks)...)
+	for r := range v.mine {
+		owner, live := r, true
+		if ft != nil {
+			owner, live = ft.owner[r], !ft.dead[r]
 		}
-	}
-	for r, d := range ft.dead {
-		if !d {
+		if owner == rank {
+			v.mine[r] = true
+			v.owned = append(v.owned, r)
+		}
+		if live {
 			v.live = append(v.live, r)
 		}
+	}
+	if ft != nil {
+		v.epoch = ft.epoch
 	}
 }
 
@@ -410,18 +417,17 @@ func (c *shardedRun) injectSeam(rank int, step int32) error {
 // into the segment's parity slot. Written after the exchange applied
 // and before the level commits, so at any instant the slots hold the
 // current level and the next — the exact window a replay can need.
-func (c *shardedRun) writeCheckpoint(rank int, view *rankView, rs *rankState, next []int32, step int32) {
-	ft := c.ft
-	layout := &c.p.Layout
-	rs.ck.Resize(c.g.NumVertices()) // clear + fit
+func (c *shardedRun) writeCheckpoint(rank int, rs *rankState, next []int32, step int32) {
+	ft, view := c.ft, &rs.view
+	rs.front.Resize(c.g.NumVertices()) // clear + fit
 	for _, v := range next {
-		rs.ck.Set(int(v))
+		rs.front.Set(int(v))
 	}
 	var total int64
 	for _, seg := range view.owned {
-		loW, hiW := layout.WordRange(seg)
+		loW, hiW := c.layout.WordRange(seg)
 		slot := &ft.ckpt[seg][step%2]
-		slot.delta = rs.ck.AppendDelta(slot.delta[:0], loW, hiW)
+		slot.delta = rs.front.AppendDelta(slot.delta[:0], loW, hiW)
 		slot.step = step
 		total += int64(len(slot.delta))
 	}
@@ -437,25 +443,25 @@ func (c *shardedRun) writeCheckpoint(rank int, view *rankView, rs *rankState, ne
 	}
 }
 
-// recoverFT handles a barrier error in the FT level loop. For
+// recoverLevel handles a barrier error in the rank loop. For
 // errEpochChanged it performs one survivor's recovery — refresh the
 // membership view (possibly adopting a dead rank's segments), roll
 // back this level's partial writes in every owned segment, restore the
-// level's entry frontier from the checkpoints, recompute the local
-// unvisited count — and returns true so the caller replays the level.
-// Any other error (fenced, failed, canceled) returns false and the
-// rank exits.
-func (c *shardedRun) recoverFT(err error, rank int, view *rankView, rs *rankState, queue *[]int32, unvisitedLocal *int64, step int32) bool {
+// level's entry frontier from the checkpoints, recount its |E|cq and
+// the local unvisited count — and returns true so the caller replays
+// the level. Any other error (fenced, failed, canceled) returns false
+// and the rank exits; without a fault schedule that is every error.
+func (c *shardedRun) recoverLevel(err error, rank int, rs *rankState, step int32) bool {
 	if err != errEpochChanged {
 		return false
 	}
-	ft := c.ft
+	ft, view := c.ft, &rs.view
 	c.mu.Lock()
 	if c.err != nil || ft.dead[rank] {
 		c.mu.Unlock()
 		return false
 	}
-	view.refresh(ft, rank)
+	view.refresh(ft, rank, c.ranks)
 	c.mu.Unlock()
 
 	start := time.Now()
@@ -474,15 +480,22 @@ func (c *shardedRun) recoverFT(err error, rank int, view *rankView, rs *rankStat
 		}()
 	}
 
-	// Roll back this level's partial writes: any vertex discovered at
-	// the aborted level loses its parent again, in every segment this
-	// rank now owns (its own and any just adopted — segment ownership
-	// is disjoint across live ranks, so coverage is exact and
-	// write-exclusive).
+	// Walk every segment this rank now owns, its own and any just
+	// adopted (segment ownership is disjoint across live ranks, so
+	// coverage is exact and write-exclusive). Roll back the aborted
+	// level's partial writes: a vertex discovered at it loses its parent
+	// again. Restore the level's entry frontier from the segment's
+	// checkpoint: a dead rank's last slot write happened before its
+	// final barrier operation, which happened before the fence, so the
+	// adopter's read here is ordered. Then recount the unvisited
+	// vertices, which the rollback has made exact.
 	parent, level := c.res.Parent, c.res.Level
-	layout := &c.p.Layout
+	q := rs.queue[:0]
+	rs.front.Resize(c.g.NumVertices())
+	rs.unvisited = 0
 	for _, seg := range view.owned {
-		lo, hi := layout.Range(seg)
+		lo, hi := c.layout.Range(seg)
+		loW, hiW := c.layout.WordRange(seg)
 		for v := lo; v < hi; v++ {
 			if level[v] == step {
 				parent[v] = NotVisited //lint:shared-ok owned segment: ownership is exclusive per epoch and the epoch fence ordered the dead rank's writes before this
@@ -490,15 +503,6 @@ func (c *shardedRun) recoverFT(err error, rank int, view *rankView, rs *rankStat
 				c.visited.Clear(int(v))
 			}
 		}
-	}
-
-	// Restore the level's entry frontier from the checkpoints. A dead
-	// rank's last slot write happened before its final barrier
-	// operation, which happened before the fence — so the adopter's
-	// read here is ordered.
-	q := (*queue)[:0]
-	rs.ck.Resize(c.g.NumVertices())
-	for _, seg := range view.owned {
 		slot := &ft.ckpt[seg][step%2]
 		if slot.step != step {
 			c.fail(&fault.Error{
@@ -507,266 +511,18 @@ func (c *shardedRun) recoverFT(err error, rank int, view *rankView, rs *rankStat
 			})
 			return false
 		}
-		loW, hiW := layout.WordRange(seg)
-		if _, err := rs.ck.ApplyDelta(slot.delta, loW); err != nil {
+		if _, err := rs.front.ApplyDelta(slot.delta, loW); err != nil {
 			c.fail(fmt.Errorf("bfs: sharded rank %d restoring segment %d: %w", rank, seg, err))
 			return false
 		}
-		q = rs.ck.AppendSetWords(q, loW, hiW)
+		q = rs.front.AppendSetWords(q, loW, hiW)
+		rs.unvisited += int64(hi-lo) - int64(c.visited.CountWords(loW, hiW))
 	}
-	*queue = q
+	rs.queue = q
 	restored = int64(len(q))
-
-	// Recompute the local unvisited count over the (possibly grown)
-	// owned set; the rollback already removed this level's discoveries
-	// from the visited bitmap.
-	var uv int64
-	for _, seg := range view.owned {
-		lo, hi := layout.Range(seg)
-		loW, hiW := layout.WordRange(seg)
-		uv += int64(hi-lo) - int64(c.visited.CountWords(loW, hiW))
+	rs.ecq = 0
+	for _, v := range q {
+		rs.ecq += c.g.Degree(v)
 	}
-	*unvisitedLocal = uv
 	return true
-}
-
-// rankLoopFT is rankLoop's fault-tolerant twin: same level structure,
-// but with multi-segment kernels (a rank may own several segments
-// after adoption), the injection seam before each exchange, per-level
-// checkpoints, and errEpochChanged recovery.
-func (c *shardedRun) rankLoopFT(rank int, rs *rankState) {
-	layout := &c.p.Layout
-	n := c.g.NumVertices()
-	if rs.ck == nil {
-		rs.ck = bitmap.New(n)
-	}
-	if len(rs.segDeltas) < c.ranks {
-		grown := make([][]byte, c.ranks)
-		copy(grown, rs.segDeltas)
-		rs.segDeltas = grown
-	}
-
-	view := &rankView{}
-	c.mu.Lock()
-	view.refresh(c.ft, rank)
-	c.mu.Unlock()
-
-	queue := rs.queue[:0]
-	next := rs.next[:0]
-	defer func() { rs.queue, rs.next = queue, next }()
-
-	sh0 := c.p.Shards[rank]
-	unvisitedLocal := int64(sh0.Hi - sh0.Lo)
-	if sh0.Owns(c.source) {
-		queue = append(queue, c.source)
-		unvisitedLocal--
-	}
-	step := int32(1)
-	// The frontier entering level 1 is checkpointed before any level
-	// runs, so even a first-level death is replayable.
-	c.writeCheckpoint(rank, view, rs, queue, step)
-
-	for {
-		if err := c.ctx.Err(); err != nil {
-			c.fail(err)
-			return
-		}
-		var ecq int64
-		for _, u := range queue {
-			sh := c.p.Shards[layout.Owner(u)]
-			ecq += sh.Sub.Degree(u - sh.Lo)
-		}
-		dir, runDone, err := c.chooseRound(rank, view.epoch, int64(len(queue)), ecq, unvisitedLocal, step)
-		if err != nil {
-			if c.recoverFT(err, rank, view, rs, &queue, &unvisitedLocal, step) {
-				continue
-			}
-			return
-		}
-		if runDone {
-			return
-		}
-
-		next = next[:0]
-		var found, scans int64
-		var frontierBytes, ghostSentBytes int64
-		var ghostRecv, ghostApplied int64
-		parent, level := c.res.Parent, c.res.Level
-
-		switch dir {
-		case TopDown:
-			out := rs.out[:c.ranks]
-			for d := range out {
-				out[d] = out[d][:0]
-			}
-			for i, u := range queue {
-				if i%ctxStride == ctxStride-1 {
-					if err := c.ctx.Err(); err != nil {
-						c.fail(err)
-						return
-					}
-				}
-				useg := layout.Owner(u)
-				sh := c.p.Shards[useg]
-				for _, v := range sh.Sub.Neighbors(u - sh.Lo) {
-					dseg := useg
-					if v < sh.Lo || v >= sh.Hi {
-						dseg = layout.Owner(v)
-					}
-					if view.mine[dseg] {
-						if !c.visited.Get(int(v)) {
-							c.visited.Set(int(v))
-							parent[v] = u   //lint:shared-ok owned segment: v is in a segment this rank owns this epoch and ownership is exclusive
-							level[v] = step //lint:shared-ok owned segment: v is in a segment this rank owns this epoch and ownership is exclusive
-							next = append(next, v)
-						}
-					} else {
-						out[dseg] = append(out[dseg], v, u)
-					}
-				}
-			}
-			c.outboxes[rank] = out
-			for d, pairs := range out {
-				if !view.mine[d] {
-					ghostSentBytes += int64(len(pairs)) * 4
-				}
-			}
-			if err := c.injectSeam(rank, step); err != nil {
-				if c.recoverFT(err, rank, view, rs, &queue, &unvisitedLocal, step) {
-					continue
-				}
-				return
-			}
-			applyGhosts := func() error {
-				if err := c.round(rank, view.epoch, nil, nil); err != nil {
-					return err
-				}
-				// The round completing proves the membership did not
-				// change inside it, so the snapshot's live set is exact
-				// here. The own-rank outbox rows for owned segments are
-				// empty by construction, so s ranges over remote sources.
-				for _, s := range view.live {
-					if s == rank {
-						continue
-					}
-					for _, seg := range view.owned {
-						in := c.outboxes[s][seg]
-						for i := 0; i+1 < len(in); i += 2 {
-							v, u := in[i], in[i+1]
-							ghostRecv++
-							if !c.visited.Get(int(v)) {
-								c.visited.Set(int(v))
-								parent[v] = u   //lint:shared-ok owned segment: the outbox routed v to its owning segment and only the current owner applies it
-								level[v] = step //lint:shared-ok owned segment: the outbox routed v to its owning segment and only the current owner applies it
-								next = append(next, v)
-								ghostApplied++
-							}
-						}
-					}
-				}
-				return nil
-			}
-			if err := c.observeExchange(rank, step, dir, &ghostSentBytes, applyGhosts); err != nil {
-				if c.recoverFT(err, rank, view, rs, &queue, &unvisitedLocal, step) {
-					continue
-				}
-				return
-			}
-			if c.o.live && c.ranks > 1 {
-				c.o.event(obs.Event{
-					Kind: obs.KindGhostUpdate, Step: step, Dir: obs.DirNone,
-					Index: int32(rank), Scans: ghostRecv, Discovered: ghostApplied,
-					Bytes: ghostRecv * 8, Wall: time.Now(),
-				})
-			}
-			found = int64(len(next))
-
-		case BottomUp:
-			rs.front.Resize(n) // clear + fit
-			for _, v := range queue {
-				rs.front.Set(int(v))
-			}
-			for _, seg := range view.owned {
-				loW, hiW := layout.WordRange(seg)
-				delta := rs.front.AppendDelta(rs.segDeltas[seg][:0], loW, hiW)
-				rs.segDeltas[seg] = delta
-				c.deltas[seg] = delta
-				frontierBytes += int64(len(delta))
-			}
-			if err := c.injectSeam(rank, step); err != nil {
-				if c.recoverFT(err, rank, view, rs, &queue, &unvisitedLocal, step) {
-					continue
-				}
-				return
-			}
-			gatherFrontier := func() error {
-				if err := c.round(rank, view.epoch, nil, nil); err != nil {
-					return err
-				}
-				for seg := 0; seg < c.ranks; seg++ {
-					if view.mine[seg] {
-						continue
-					}
-					segLoW, _ := layout.WordRange(seg)
-					if _, err := rs.front.ApplyDelta(c.deltas[seg], segLoW); err != nil {
-						err = fmt.Errorf("bfs: sharded rank %d: %w", rank, err)
-						c.fail(err)
-						return err
-					}
-				}
-				return nil
-			}
-			if err := c.observeExchange(rank, step, dir, &frontierBytes, gatherFrontier); err != nil {
-				if c.recoverFT(err, rank, view, rs, &queue, &unvisitedLocal, step) {
-					continue
-				}
-				return
-			}
-			for _, seg := range view.owned {
-				sh := c.p.Shards[seg]
-				lo, hi := int(sh.Lo), int(sh.Hi)
-				for v := lo; v < hi; v++ {
-					if v%ctxStride == ctxStride-1 {
-						if err := c.ctx.Err(); err != nil {
-							c.fail(err)
-							return
-						}
-					}
-					if c.visited.Get(v) {
-						continue
-					}
-					for _, u := range sh.Sub.Neighbors(int32(v - lo)) {
-						scans++
-						if rs.front.Get(int(u)) {
-							c.visited.Set(v)
-							parent[v] = u   //lint:shared-ok owned segment: v iterates segments this rank owns this epoch only
-							level[v] = step //lint:shared-ok owned segment: v iterates segments this rank owns this epoch only
-							next = append(next, int32(v))
-							break
-						}
-					}
-				}
-			}
-			found = int64(len(next))
-
-		default:
-			c.fail(fmt.Errorf("bfs: policy returned unknown direction %d", dir))
-			return
-		}
-
-		// Checkpoint the next level's entry frontier before committing
-		// this one: after endRound succeeds, any rank may need to
-		// replay level step+1, and this is the delta it will read.
-		c.writeCheckpoint(rank, view, rs, next, step+1)
-
-		if err := c.endRound(rank, view.epoch, step, dir, found, scans, frontierBytes, ghostSentBytes, ghostRecv, ghostApplied); err != nil {
-			if c.recoverFT(err, rank, view, rs, &queue, &unvisitedLocal, step) {
-				continue
-			}
-			return
-		}
-		unvisitedLocal -= found
-		queue, next = next, queue
-		step++
-	}
 }

@@ -8,8 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"crossbfs/internal/bitmap"
 	"crossbfs/internal/graph"
 	"crossbfs/internal/obs"
+	"crossbfs/internal/part"
 )
 
 // latticeGraph returns a side×side 4-neighbor grid — the high-diameter
@@ -89,7 +91,9 @@ func TestShardedMatchesSerial(t *testing.T) {
 // switch: because the ranks all-reduce the exact global (|V|cq, |E|cq,
 // unvisited) triple, the sharded engine must make the same per-level
 // direction choices as the single-box hybrid under the same (M, N) —
-// at every rank count.
+// at every rank count. Its ranks run the hybrid's bottom-up kernel
+// over their owned words, so each step's scan count, probes included,
+// must equal the 1-worker hybrid's too.
 func TestShardedDirectionsMatchHybrid(t *testing.T) {
 	for name, g := range shardedTestGraphs(t) {
 		src := firstUsable(t, g)
@@ -98,7 +102,7 @@ func TestShardedDirectionsMatchHybrid(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Hybrid: %v", name, err)
 			}
-			for _, ranks := range []int{1, 2, 4, 8} {
+			for _, ranks := range []int{1, 2, 3, 4, 8} {
 				label := fmt.Sprintf("%s mn=%v ranks=%d", name, mn, ranks)
 				got, err := NewShardedEngine(ranks, mn[0], mn[1]).Run(g, src, nil)
 				if err != nil {
@@ -114,9 +118,74 @@ func TestShardedDirectionsMatchHybrid(t *testing.T) {
 							label, i+1, got.Directions[i], want.Directions[i])
 					}
 				}
+				sameScans(t, label, want, got)
 			}
 		}
 	}
+}
+
+// sameScans requires got's per-step scan counts to equal want's.
+func sameScans(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	if len(got.StepScans) != len(want.StepScans) {
+		t.Fatalf("%s: %d step-scan entries, hybrid has %d", label, len(got.StepScans), len(want.StepScans))
+	}
+	for i := range want.StepScans {
+		if got.StepScans[i] != want.StepScans[i] {
+			t.Fatalf("%s: step %d (%v) tested %d entries, hybrid tested %d",
+				label, i+1, want.Directions[i], got.StepScans[i], want.StepScans[i])
+		}
+	}
+}
+
+// recountExchanges rebuilds a traversal's per-level exchange records
+// from its level map and the partition layout alone. A bottom-up step
+// s publishes, per rank, the compressed delta of the rank's words of
+// level s-1. A top-down step s sends one 8-byte claim per edge from a
+// level s-1 vertex to a vertex of another owner, and the owner applies
+// a claim for each level-s vertex that no level s-1 vertex on its own
+// owner reaches.
+func recountExchanges(g *graph.CSR, l part.Layout, r *Result) []ExchangeStats {
+	n := g.NumVertices()
+	recs := make([]ExchangeStats, len(r.Directions))
+	for i, dir := range r.Directions {
+		step := int32(i + 1)
+		ex := ExchangeStats{Step: i + 1, Dir: dir}
+		if dir == BottomUp {
+			front := bitmap.New(n)
+			for v, lv := range r.Level {
+				if lv == step-1 {
+					front.Set(v)
+				}
+			}
+			for rank := 0; rank < l.Ranks(); rank++ {
+				loW, hiW := l.WordRange(rank)
+				ex.FrontierBytes += int64(len(front.AppendDelta(nil, loW, hiW)))
+			}
+		} else {
+			for v := int32(0); int(v) < n; v++ {
+				switch r.Level[v] {
+				case step - 1:
+					for _, w := range g.Neighbors(v) {
+						if l.Owner(w) != l.Owner(v) {
+							ex.GhostSent++
+						}
+					}
+				case step:
+					local := false
+					for _, u := range g.Neighbors(v) {
+						local = local || (r.Level[u] == step-1 && l.Owner(u) == l.Owner(v))
+					}
+					if !local {
+						ex.GhostApplied++
+					}
+				}
+			}
+			ex.GhostBytes = 8 * ex.GhostSent
+		}
+		recs[i] = ex
+	}
+	return recs
 }
 
 // TestShardedExchangeAccounting checks the per-level communication
@@ -172,6 +241,30 @@ func TestShardedExchangeAccounting(t *testing.T) {
 		}
 		if sent > 0 && applied == sent {
 			t.Logf("ranks=%d: no duplicate ghost claims on this graph (sent=%d)", ranks, sent)
+		}
+	}
+	// Every record is the recount from the level map and the layout:
+	// these are the bytes the sharded experiment prices.
+	for name, g := range shardedTestGraphs(t) {
+		src := firstUsable(t, g)
+		for _, ranks := range []int{2, 3, 4, 8} {
+			r, err := NewShardedEngine(ranks, 14, 24).Run(g, src, nil)
+			if err != nil {
+				t.Fatalf("%s ranks=%d: %v", name, ranks, err)
+			}
+			l, err := part.Partition(g, ranks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := recountExchanges(g, l, r)
+			if len(r.Exchanges) != len(want) {
+				t.Fatalf("%s ranks=%d: %d exchange records for %d levels", name, ranks, len(r.Exchanges), len(want))
+			}
+			for i := range want {
+				if r.Exchanges[i] != want[i] {
+					t.Errorf("%s ranks=%d: step %d records %+v, recount %+v", name, ranks, i+1, r.Exchanges[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -109,3 +109,14 @@ func WithTraversalID(id uint64, rec Recorder) Recorder {
 	}
 	return scoped{id: id, next: rec}
 }
+
+// TraversalIDOf returns the ID rec stamps on every event when rec is
+// a WithTraversalID wrapper, and 0 otherwise. A traversal opened under
+// such a wrapper takes this ID instead of drawing one that the wrapper
+// would overwrite anyway.
+func TraversalIDOf(rec Recorder) uint64 {
+	if s, ok := rec.(scoped); ok {
+		return s.id
+	}
+	return 0
+}

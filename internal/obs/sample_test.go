@@ -179,6 +179,12 @@ func TestWithTraversalID(t *testing.T) {
 	if WithTraversalID(5, Nop) != Nop {
 		t.Error("Nop recorder should stay Nop")
 	}
+	if id := TraversalIDOf(w); id != 77 {
+		t.Errorf("TraversalIDOf(wrapper) = %d, want 77", id)
+	}
+	if id := TraversalIDOf(rec); id != 0 {
+		t.Errorf("TraversalIDOf(plain recorder) = %d, want 0", id)
+	}
 }
 
 // recorderFunc adapts a function to the Recorder interface for tests.

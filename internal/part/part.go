@@ -4,13 +4,14 @@
 // The partitioner tiles the vertex space [0, |V|) into one contiguous,
 // word-aligned (multiple-of-64) owned range per rank, balancing by
 // adjacency entries rather than vertex count so power-law graphs don't
-// starve low-numbered ranks. Each rank gets a zero-copy sub-CSR view
-// of its owned rows plus a ghost map: the sorted set of remote
-// vertices its edges reference. Word alignment is what lets every rank
-// write its owned slice of a shared bitmap with plain (non-atomic)
-// stores — no two ranks ever touch the same 64-bit word — and it makes
-// the per-level frontier exchange a word-delta per owned range
-// (bitmap.AppendDelta / ApplyDelta).
+// starve low-numbered ranks. A partition is only its Layout: the
+// boundaries. Ranks read their owned rows from the graph itself, whose
+// column IDs are already global. Word alignment is what lets every
+// rank write its owned slice of a shared bitmap with plain
+// (non-atomic) stores — no two ranks ever touch the same 64-bit word —
+// and it makes the per-level frontier exchange a word-delta per owned
+// range (bitmap.AppendDelta / ApplyDelta). Shrink moves a failed
+// rank's ranges onto the survivors.
 //
 // This is the 1D decomposition of Buluç–Beamer's distributed
 // direction-optimizing BFS (PAPERS.md): local row ownership, global
@@ -20,7 +21,6 @@ package part
 
 import (
 	"fmt"
-	"sort"
 
 	"crossbfs/internal/graph"
 )
@@ -40,9 +40,6 @@ type Layout struct {
 
 // Ranks returns the number of ranks in the layout.
 func (l *Layout) Ranks() int { return len(l.Starts) - 1 }
-
-// NumVertices returns the size of the partitioned vertex space.
-func (l *Layout) NumVertices() int { return int(l.Starts[len(l.Starts)-1]) }
 
 // Range returns rank r's owned vertex range [lo, hi).
 func (l *Layout) Range(r int) (lo, hi int32) {
@@ -79,54 +76,13 @@ func (l *Layout) Owner(v int32) int {
 	return lo - 1
 }
 
-// Shard is one rank's share of the graph.
-//
-// Sub is a zero-copy adjacency view of the owned rows: Sub's row v
-// holds the neighbors of global vertex Lo+v, and its column IDs stay
-// GLOBAL — a neighbor u belongs to this shard iff Lo <= u < Hi. Sub is
-// not a standalone graph (its column space exceeds its row space), so
-// it must not be passed to code expecting a self-contained CSR; the
-// BFS kernels index it by local row and route columns through
-// Layout.Owner.
-type Shard struct {
-	Rank   int
-	Lo, Hi int32 // owned global vertex range [Lo, Hi)
-	Sub    *graph.CSR
-
-	// Ghosts lists, sorted ascending, every remote vertex referenced
-	// by this shard's edges — the vertices whose frontier membership
-	// this rank needs each bottom-up level, and the destinations of
-	// its top-down claim messages.
-	Ghosts []int32
-}
-
-// NumOwned returns the number of vertices this shard owns.
-func (s *Shard) NumOwned() int { return int(s.Hi - s.Lo) }
-
-// Owns reports whether global vertex v is owned by this shard.
-func (s *Shard) Owns(v int32) bool { return v >= s.Lo && v < s.Hi }
-
-// HasGhost reports whether remote vertex v is referenced by this
-// shard's edges, by binary search over the sorted ghost set.
-func (s *Shard) HasGhost(v int32) bool {
-	i := sort.Search(len(s.Ghosts), func(i int) bool { return s.Ghosts[i] >= v })
-	return i < len(s.Ghosts) && s.Ghosts[i] == v
-}
-
-// Partitioned is a graph cut into per-rank shards under one layout.
-type Partitioned struct {
-	Graph  *graph.CSR
-	Layout Layout
-	Shards []*Shard
-}
-
 // Partition tiles g's vertices across ranks contiguous, 64-aligned,
-// edge-balanced owned ranges and builds each rank's shard. ranks must
-// be >= 1; ranks exceeding |V|/64 produce trailing empty shards, which
-// the sharded engine tolerates.
-func Partition(g *graph.CSR, ranks int) (*Partitioned, error) {
+// edge-balanced owned ranges. ranks must be >= 1; ranks exceeding
+// |V|/64 produce trailing empty ranges, which the sharded engine
+// tolerates.
+func Partition(g *graph.CSR, ranks int) (Layout, error) {
 	if ranks < 1 {
-		return nil, fmt.Errorf("part: ranks must be >= 1, got %d", ranks)
+		return Layout{}, fmt.Errorf("part: ranks must be >= 1, got %d", ranks)
 	}
 	n := g.NumVertices()
 	starts := make([]int32, ranks+1)
@@ -150,55 +106,14 @@ func Partition(g *graph.CSR, ranks int) (*Partitioned, error) {
 		starts[r] = int32(v)
 	}
 	starts[ranks] = int32(n)
-	// A tiny graph can leave a later boundary below an earlier one
-	// only via the monotone clamp above; the final entry may still
-	// undershoot n for empty tails, which is fine (empty shards).
-	p := &Partitioned{Graph: g, Layout: Layout{Starts: starts}}
-	p.Shards = make([]*Shard, ranks)
-	for r := 0; r < ranks; r++ {
-		p.Shards[r] = buildShard(g, &p.Layout, r)
-	}
-	return p, nil
+	return Layout{Starts: starts}, nil
 }
 
-// buildShard cuts rank r's rows out of g. The offset slice is rebased
-// (one small allocation per shard); the adjacency storage is aliased,
-// not copied.
-func buildShard(g *graph.CSR, l *Layout, r int) *Shard {
-	lo, hi := l.Range(r)
-	nOwned := int(hi - lo)
-	offs := make([]int64, nOwned+1)
-	base := g.Offsets[lo]
-	for i := 0; i <= nOwned; i++ {
-		offs[i] = g.Offsets[int(lo)+i] - base
-	}
-	sub := &graph.CSR{
-		Offsets: offs,
-		Adj:     g.Adj[base:g.Offsets[hi]],
-	}
-	// Collect the distinct remote endpoints.
-	seen := make(map[int32]struct{})
-	for _, u := range sub.Adj {
-		if u < lo || u >= hi {
-			seen[u] = struct{}{}
-		}
-	}
-	ghosts := make([]int32, 0, len(seen))
-	for u := range seen {
-		ghosts = append(ghosts, u)
-	}
-	sort.Slice(ghosts, func(i, j int) bool { return ghosts[i] < ghosts[j] })
-	return &Shard{Rank: r, Lo: lo, Hi: hi, Sub: sub, Ghosts: ghosts}
-}
-
-// Validate checks the partition's structural invariants: the layout
-// tiles [0, |V|) with 64-aligned monotone boundaries, every shard's
-// sub-CSR reproduces the owned rows of the source graph exactly, and
-// the ghost set is sorted, distinct, and exactly the set of remote
-// endpoints. Quadratic-ish in edges; test and tooling use only.
-func (p *Partitioned) Validate() error {
-	l := &p.Layout
-	n := p.Graph.NumVertices()
+// Validate checks the layout's structural invariants for an n-vertex
+// graph: the boundaries tile [0, n), they never decrease, every
+// interior one is 64-aligned, and Owner maps each vertex to the rank
+// whose range holds it. Linear in n; test and tooling use only.
+func (l *Layout) Validate(n int) error {
 	if len(l.Starts) < 2 || l.Starts[0] != 0 || int(l.Starts[len(l.Starts)-1]) != n {
 		return fmt.Errorf("part: layout does not tile [0,%d): %v", n, l.Starts)
 	}
@@ -210,45 +125,11 @@ func (p *Partitioned) Validate() error {
 			return fmt.Errorf("part: boundary %d = %d not %d-aligned", r, l.Starts[r], align)
 		}
 	}
-	if len(p.Shards) != l.Ranks() {
-		return fmt.Errorf("part: %d shards for %d ranks", len(p.Shards), l.Ranks())
-	}
-	for r, s := range p.Shards {
+	for r := 0; r < l.Ranks(); r++ {
 		lo, hi := l.Range(r)
-		if s.Rank != r || s.Lo != lo || s.Hi != hi {
-			return fmt.Errorf("part: shard %d range mismatch: [%d,%d) vs layout [%d,%d)", r, s.Lo, s.Hi, lo, hi)
-		}
-		if s.Sub.NumVertices() != s.NumOwned() {
-			return fmt.Errorf("part: shard %d has %d rows, owns %d", r, s.Sub.NumVertices(), s.NumOwned())
-		}
-		ghostWant := make(map[int32]struct{})
 		for v := lo; v < hi; v++ {
-			want := p.Graph.Neighbors(v)
-			got := s.Sub.Neighbors(v - lo)
-			if len(want) != len(got) {
-				return fmt.Errorf("part: shard %d row %d degree %d, want %d", r, v, len(got), len(want))
-			}
-			for i := range want {
-				if want[i] != got[i] {
-					return fmt.Errorf("part: shard %d row %d neighbor %d is %d, want %d", r, v, i, got[i], want[i])
-				}
-				if !s.Owns(want[i]) {
-					ghostWant[want[i]] = struct{}{}
-				}
-			}
 			if o := l.Owner(v); o != r {
 				return fmt.Errorf("part: Owner(%d) = %d, want %d", v, o, r)
-			}
-		}
-		if len(s.Ghosts) != len(ghostWant) {
-			return fmt.Errorf("part: shard %d has %d ghosts, want %d", r, len(s.Ghosts), len(ghostWant))
-		}
-		for i, u := range s.Ghosts {
-			if i > 0 && s.Ghosts[i-1] >= u {
-				return fmt.Errorf("part: shard %d ghosts not sorted-distinct at %d", r, i)
-			}
-			if _, ok := ghostWant[u]; !ok {
-				return fmt.Errorf("part: shard %d ghost %d is not a remote endpoint", r, u)
 			}
 		}
 	}

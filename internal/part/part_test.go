@@ -47,11 +47,11 @@ func TestPartitionValidates(t *testing.T) {
 	}
 	for name, g := range graphs {
 		for _, ranks := range []int{1, 2, 3, 4, 8, 16} {
-			p, err := Partition(g, ranks)
+			l, err := Partition(g, ranks)
 			if err != nil {
 				t.Fatalf("%s ranks=%d: %v", name, ranks, err)
 			}
-			if err := p.Validate(); err != nil {
+			if err := l.Validate(g.NumVertices()); err != nil {
 				t.Fatalf("%s ranks=%d: %v", name, ranks, err)
 			}
 		}
@@ -74,13 +74,14 @@ func TestPartitionEdgeBalance(t *testing.T) {
 	// heavy head of the degree distribution cost some slack).
 	g := rmatGraph(t, 12, 16, 3)
 	const ranks = 4
-	p, err := Partition(g, ranks)
+	l, err := Partition(g, ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fair := float64(g.NumEdges()) / ranks
-	for r, s := range p.Shards {
-		edges := float64(len(s.Sub.Adj))
+	for r := 0; r < ranks; r++ {
+		lo, hi := l.Range(r)
+		edges := float64(g.Offsets[hi] - g.Offsets[lo])
 		if edges > 2.5*fair {
 			t.Errorf("rank %d holds %.0f adjacency entries, fair share %.0f", r, edges, fair)
 		}
@@ -99,13 +100,13 @@ func TestWordRangesDisjoint(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, ranks := range c.ranks {
-			p, err := Partition(c.g, ranks)
+			l, err := Partition(c.g, ranks)
 			if err != nil {
 				t.Fatal(err)
 			}
 			prevHi := 0
 			for r := 0; r < ranks; r++ {
-				lo, hi := p.Layout.WordRange(r)
+				lo, hi := l.WordRange(r)
 				if hi == lo {
 					continue // an empty range overlaps nothing
 				}
@@ -119,47 +120,16 @@ func TestWordRangesDisjoint(t *testing.T) {
 	}
 }
 
-func TestOwnerAndZeroCopy(t *testing.T) {
+func TestOwner(t *testing.T) {
 	g := rmatGraph(t, 9, 8, 4)
-	p, err := Partition(g, 3)
+	l, err := Partition(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := int32(0); int(v) < g.NumVertices(); v++ {
-		r := p.Layout.Owner(v)
-		if !p.Shards[r].Owns(v) {
-			t.Fatalf("Owner(%d) = %d but shard does not own it", v, r)
-		}
-	}
-	// Zero-copy contract: each shard's Adj aliases the parent storage.
-	for _, s := range p.Shards {
-		if len(s.Sub.Adj) == 0 {
-			continue
-		}
-		base := g.Offsets[s.Lo]
-		if &s.Sub.Adj[0] != &g.Adj[base] {
-			t.Fatalf("rank %d Adj is a copy, want alias", s.Rank)
-		}
-	}
-}
-
-func TestHasGhost(t *testing.T) {
-	g := lattice(t, 10) // 100 vertices; with 64-alignment, 2 ranks split 64/36
-	p, err := Partition(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range p.Shards {
-		for _, u := range s.Ghosts {
-			if !s.HasGhost(u) {
-				t.Fatalf("rank %d: HasGhost(%d) = false for listed ghost", s.Rank, u)
-			}
-			if s.Owns(u) {
-				t.Fatalf("rank %d: owned vertex %d in ghost set", s.Rank, u)
-			}
-		}
-		if s.HasGhost(s.Lo) && s.NumOwned() > 0 {
-			t.Fatalf("rank %d: owned vertex reported as ghost", s.Rank)
+		r := l.Owner(v)
+		if lo, hi := l.Range(r); v < lo || v >= hi {
+			t.Fatalf("Owner(%d) = %d but its range is [%d,%d)", v, r, lo, hi)
 		}
 	}
 }

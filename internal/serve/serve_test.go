@@ -504,6 +504,32 @@ func TestFlightRecorderRetainsSampledQueries(t *testing.T) {
 	}
 }
 
+// TestOneTraversalIDPerQuery pins one traversal-ID draw per query:
+// the server draws the query's ID and the traversal it runs takes that
+// ID from the wrapper instead of drawing its own, so a query between
+// two draws of the test's own lands exactly between them.
+func TestOneTraversalIDPerQuery(t *testing.T) {
+	g := mustRMAT(t, 9, 8, 3)
+	s := newTestServer(t, Config{SampleK: 1}, g)
+	defer s.Close()
+	for _, q := range []Query{
+		{Kind: KindReach, Source: 0, Target: 5},
+		{Kind: KindPath, Source: 0, Target: 9},
+		{Kind: KindKHop, Source: 0, K: 2},
+	} {
+		before := obs.NextTraversalID()
+		resp, serr := s.Query(context.Background(), q)
+		if serr != nil {
+			t.Fatalf("%s: %v", q.Kind, serr)
+		}
+		after := obs.NextTraversalID()
+		if resp.TraversalID != before+1 || after != before+2 {
+			t.Errorf("%s: traversal_id %d between draws %d and %d, want one draw per query",
+				q.Kind, resp.TraversalID, before, after)
+		}
+	}
+}
+
 // recorderFunc adapts a closure to obs.Recorder.
 type recorderFunc func(obs.Event)
 
