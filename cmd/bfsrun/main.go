@@ -9,7 +9,7 @@
 //	bfsrun -graph g.csr -plan gpucb -m2 32 -n2 32
 //	bfsrun -scale 17 -plan cputd+gpucb -faults 'crash:KeplerK20x@4' -timeout 30s
 //	bfsrun -scale 16 -plan cputd+gpucb -trace out.json   # open in ui.perfetto.dev
-//	bfsrun -scale 20 -plan all -trace-stream out.json -sample 8 -flightrec flight.json
+//	bfsrun -scale 20 -plan all -sample 8 -flightrec flight.json    # last traversals only
 //	bfsrun -scale 20 -plan all -pprof localhost:6060 -cpuprofile cpu.pb.gz -metrics-out m.json
 package main
 
@@ -61,15 +61,11 @@ type config struct {
 	// report includes retries, replans, and the fault log.
 	faults    string
 	faultSeed uint64
-	// tracePath, when set, streams the run's telemetry (real per-level
+	// tracePath, when set, writes the run's telemetry (real per-level
 	// events from the reference traversal plus simulated per-step
 	// timelines from every priced plan) to a Chrome trace-event JSON
 	// file for chrome://tracing or Perfetto.
 	tracePath string
-	// traceStream writes the same trace through obs.StreamWriter:
-	// incremental encoding with a bounded buffer, dropping events under
-	// backpressure instead of growing — the serving-grade sink.
-	traceStream string
 	// sampleK keeps 1-in-K traversals (whole) in the trace sinks; 0 or 1
 	// keeps everything. Metrics stay unsampled — counters are always-on.
 	sampleK int
@@ -118,7 +114,6 @@ func main() {
 	flag.StringVar(&cfg.faults, "faults", "", "fault schedule, e.g. 'crash:KeplerK20x@4;transient:0.1'")
 	flag.Uint64Var(&cfg.faultSeed, "faultseed", 1, "seed for transient-fault draws")
 	flag.StringVar(&cfg.tracePath, "trace", "", "write Chrome trace-event JSON to this file (view in Perfetto)")
-	flag.StringVar(&cfg.traceStream, "trace-stream", "", "write the trace through the bounded streaming sink (drops under backpressure)")
 	flag.IntVar(&cfg.sampleK, "sample", 0, "keep 1-in-K traversals (whole) in trace sinks; 0 keeps all")
 	flag.StringVar(&cfg.flightRec, "flightrec", "", "retain the last traversals in memory; dump to this file at exit and on SIGQUIT")
 	flag.StringVar(&cfg.metricsOut, "metrics-out", "", "write the final metric series as one flat JSON object to this file")
@@ -205,7 +200,11 @@ func run(ctx context.Context, cfg config) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		t, err := price(tr, pl, link, sched, tel.rec)
+		// The resilient simulator re-arms the schedule itself, so one
+		// schedule prices every plan with identical transient draws;
+		// with no schedule it prices exactly what Simulate does. Either
+		// way the recorder sees the plan's simulated timeline.
+		t, err := core.SimulateResilient(tr, pl, link, core.ResilientOptions{Schedule: sched, Recorder: tel.rec})
 		if err != nil {
 			var fe *fault.Error
 			if errors.As(err, &fe) {
@@ -272,25 +271,20 @@ func run(ctx context.Context, cfg config) error {
 	if cfg.tracePath != "" {
 		fmt.Printf("trace written to %s (open in chrome://tracing or https://ui.perfetto.dev)\n", cfg.tracePath)
 	}
-	if cfg.traceStream != "" {
-		fmt.Printf("streamed trace written to %s\n", cfg.traceStream)
-	}
 	if cfg.flightRec != "" {
 		fmt.Printf("flight recorder dump written to %s (also on SIGQUIT)\n", cfg.flightRec)
 	}
 	return nil
 }
 
-// telemetry bundles the run's optional observers (trace file, streaming
-// sink, sampler, flight recorder, metrics, profiling server, CPU
-// profile) behind one Recorder and one teardown.
+// telemetry bundles the run's optional observers (trace file, sampler,
+// flight recorder, metrics, profiling server, CPU profile) behind one
+// Recorder and one teardown.
 type telemetry struct {
 	rec       obs.Recorder
 	reg       *obs.Registry
 	tw        *obs.TraceWriter
 	traceF    *os.File
-	stream    *obs.StreamWriter
-	streamF   *os.File
 	ring      *obs.Ring
 	flightRec string
 	sigC      chan os.Signal
@@ -315,16 +309,6 @@ func startTelemetry(cfg config) (*telemetry, error) {
 		tel.traceF = f
 		tel.tw = obs.NewTraceWriter(f)
 		traceRecs = append(traceRecs, tel.tw)
-	}
-	if cfg.traceStream != "" {
-		f, err := os.Create(cfg.traceStream)
-		if err != nil {
-			tel.close()
-			return nil, err
-		}
-		tel.streamF = f
-		tel.stream = obs.NewStreamWriter(f)
-		traceRecs = append(traceRecs, tel.stream)
 	}
 	if cfg.flightRec != "" {
 		tel.ring = obs.NewRing(obs.DefaultRingKeep, obs.DefaultRingMaxEvents)
@@ -407,19 +391,6 @@ func (t *telemetry) close() error {
 		}
 		t.tw, t.traceF = nil, nil
 	}
-	if t.stream != nil {
-		stats := t.stream.Stats()
-		if cerr := t.stream.Close(); err == nil {
-			err = cerr
-		}
-		if cerr := t.streamF.Close(); err == nil {
-			err = cerr
-		}
-		if stats.Dropped > 0 {
-			fmt.Fprintf(os.Stderr, "bfsrun: streaming sink dropped %d events under backpressure\n", stats.Dropped)
-		}
-		t.stream, t.streamF = nil, nil
-	}
 	if t.sigC != nil {
 		signal.Stop(t.sigC)
 		close(t.sigC)
@@ -446,17 +417,6 @@ func dumpRing(ring *obs.Ring, path string) error {
 		werr = cerr
 	}
 	return werr
-}
-
-// price runs the clean simulator, or the resilient one when a fault
-// schedule is in play. SimulateResilient re-arms the schedule itself,
-// so one schedule prices every plan with identical transient draws.
-// Either way the recorder sees the plan's simulated per-step timeline.
-func price(tr *bfs.Trace, pl core.Plan, link archsim.Link, sched *fault.Schedule, rec obs.Recorder) (*core.Timing, error) {
-	if sched == nil {
-		return core.SimulateObserved(tr, pl, link, rec), nil
-	}
-	return core.SimulateResilient(tr, pl, link, core.ResilientOptions{Schedule: sched, Recorder: rec})
 }
 
 // runSharded executes the partitioned engine for real and prints the

@@ -79,27 +79,6 @@ func TestRunTraceExport(t *testing.T) {
 	}
 }
 
-// TestRunStreamedTrace drives -trace-stream: the bounded streaming sink
-// must produce a trace just as valid as the buffered TraceWriter's.
-func TestRunStreamedTrace(t *testing.T) {
-	c := cfg(11, "cputd+gpucb")
-	c.traceStream = filepath.Join(t.TempDir(), "stream.json")
-	if err := run(context.Background(), c); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(c.traceStream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := obs.ValidateTrace(data)
-	if err != nil {
-		t.Fatalf("streamed trace invalid: %v", err)
-	}
-	if s.Levels == 0 || s.SimSteps == 0 {
-		t.Errorf("streamed trace missing timelines: %d levels, %d sim steps", s.Levels, s.SimSteps)
-	}
-}
-
 // TestRunSampledTrace drives -sample: every timeline — the reference
 // traversal and the 9 plan timelines all carry engine-stamped
 // TraversalIDs — is kept or dropped whole, and whatever survives is

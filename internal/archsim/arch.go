@@ -96,8 +96,9 @@ type Arch struct {
 	// scans performed) per second at full utilization.
 	TDRate float64
 	BURate float64
-	// SerialRate is the single-thread adjacency entry rate, used by
-	// Serial() and exposed for the paper's serial-version comparison.
+	// SerialRate is the single-thread streaming adjacency entry rate:
+	// it bounds the longest bottom-up scan, and it is the rate of the
+	// paper's serial-version comparison (§V-C).
 	SerialRate float64
 	// ThreadRate is the latency-bound per-thread rate on dependent
 	// random accesses: the speed at which ONE thread walks ONE
@@ -359,19 +360,4 @@ func (a Arch) WithCores(n int) Arch {
 	perCore := a.LaunchOverhead * 0.15 / float64(a.Cores)
 	scaled.LaunchOverhead = fixed + perCore*float64(n)
 	return scaled
-}
-
-// Serial returns the single-core, single-thread version of a — the
-// paper's "serial version" comparison (§V-C), where a Sandy Bridge
-// core outruns a MIC core by ~20x. Unlike WithCores(1), it uses the
-// measured single-thread rate and drops all parallel overheads.
-func (a Arch) Serial() Arch {
-	s := a.WithCores(1)
-	s.Name = a.Name + "-serial"
-	s.TDRate = a.SerialRate
-	s.BURate = a.SerialRate * 1.5 // scans are branchier but atomic-free
-	s.ThreadRate = a.SerialRate
-	s.HalfUtil = 0.5        // one item keeps one thread busy
-	s.LaunchOverhead = 2e-6 // plain function call per level
-	return s
 }

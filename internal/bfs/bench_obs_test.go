@@ -3,7 +3,6 @@ package bfs
 import (
 	"context"
 	"fmt"
-	"io"
 	"testing"
 
 	"crossbfs/internal/graph"
@@ -12,7 +11,7 @@ import (
 
 // Recorder-overhead benches for cmd/benchreport: the same RunMany
 // batch under each recorder mode, so the obs-overhead deltas (Nop vs
-// Live vs Sampled vs Stream vs Ring) fall out of one snapshot. The
+// Live vs Sampled vs Ring vs Labeled) fall out of one snapshot. The
 // custom MTEPS metric makes cross-mode throughput comparable even
 // though per-op work is a whole batch, not one traversal.
 func BenchmarkRunManyRecorderOverhead(b *testing.B) {
@@ -30,7 +29,6 @@ func BenchmarkRunManyRecorderOverhead(b *testing.B) {
 		{"nop", func() obs.Recorder { return obs.Nop }},
 		{"live", func() obs.Recorder { return &countRecorder{} }},
 		{"sampled", func() obs.Recorder { return obs.NewSampler(&countRecorder{}, 8, 1) }},
-		{"stream", func() obs.Recorder { return obs.NewStreamWriter(io.Discard) }},
 		{"ring", func() obs.Recorder { return obs.NewRing(8, 0) }},
 		{"labeled", func() obs.Recorder {
 			return obs.NewRegistryRecorder(obs.NewRegistry(), "hybrid(64,64)")
@@ -61,9 +59,6 @@ func BenchmarkRunManyRecorderOverhead(b *testing.B) {
 				warm()
 			}
 			b.StopTimer()
-			if sw, ok := opts.Recorder.(*obs.StreamWriter); ok {
-				_ = sw.Close()
-			}
 			if secs := b.Elapsed().Seconds(); secs > 0 {
 				b.ReportMetric(float64(edges)*float64(b.N)/secs/1e6, "MTEPS")
 			}

@@ -29,8 +29,8 @@ type ManyOptions struct {
 	// flight recorders (obs.Sampler, obs.Ring) see each root as one
 	// unit. One recorder instance is shared by all in-flight roots, so
 	// it must be safe for concurrent use — obs.RegistryRecorder,
-	// obs.TraceWriter, obs.StreamWriter, obs.Sampler, and obs.Ring all
-	// are. nil disables telemetry.
+	// obs.TraceWriter, obs.Sampler, and obs.Ring all are. nil disables
+	// telemetry.
 	Recorder obs.Recorder
 }
 

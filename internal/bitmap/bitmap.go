@@ -110,25 +110,6 @@ func (b *Bitmap) Count() int {
 	return c
 }
 
-// Any reports whether any bit is set.
-func (b *Bitmap) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// CopyFrom makes b an exact copy of src. The bitmaps must have the
-// same length.
-func (b *Bitmap) CopyFrom(src *Bitmap) {
-	if b.n != src.n {
-		panic("bitmap: CopyFrom length mismatch")
-	}
-	copy(b.words, src.words)
-}
-
 // Or sets b to the bitwise union of b and src. The bitmaps must have
 // the same length.
 func (b *Bitmap) Or(src *Bitmap) {
@@ -168,8 +149,3 @@ func (b *Bitmap) AppendSet(dst []int32) []int32 {
 // bottom-up kernel) and size accounting (e.g. modelling a frontier
 // transfer across a PCIe link). The slice must not be mutated.
 func (b *Bitmap) Words() []uint64 { return b.words }
-
-// SizeBytes returns the in-memory size of the bit data in bytes, which
-// is also the transfer size when the bitmap is shipped to another
-// device.
-func (b *Bitmap) SizeBytes() int64 { return int64(len(b.words) * 8) }

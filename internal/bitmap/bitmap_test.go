@@ -40,9 +40,9 @@ func TestNewNegativePanics(t *testing.T) {
 	New(-1)
 }
 
-func TestCountAndAny(t *testing.T) {
+func TestCount(t *testing.T) {
 	b := New(200)
-	if b.Any() || b.Count() != 0 {
+	if b.Count() != 0 {
 		t.Fatal("fresh bitmap not empty")
 	}
 	for i := 0; i < 200; i += 3 {
@@ -51,11 +51,8 @@ func TestCountAndAny(t *testing.T) {
 	if got, want := b.Count(), (199/3)+1; got != want {
 		t.Errorf("Count = %d, want %d", got, want)
 	}
-	if !b.Any() {
-		t.Error("Any = false with bits set")
-	}
 	b.Reset()
-	if b.Any() || b.Count() != 0 {
+	if b.Count() != 0 {
 		t.Error("Reset did not clear")
 	}
 }
@@ -172,33 +169,6 @@ func TestOrLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	New(10).Or(New(20))
-}
-
-func TestCopyFrom(t *testing.T) {
-	a, b := New(128), New(128)
-	b.Set(7)
-	b.Set(127)
-	a.CopyFrom(b)
-	if !a.Get(7) || !a.Get(127) || a.Count() != 2 {
-		t.Error("CopyFrom did not copy exactly")
-	}
-	// Copy must be independent.
-	b.Set(50)
-	if a.Get(50) {
-		t.Error("CopyFrom aliases source storage")
-	}
-}
-
-func TestSizeBytes(t *testing.T) {
-	if got := New(64).SizeBytes(); got != 8 {
-		t.Errorf("SizeBytes(64 bits) = %d, want 8", got)
-	}
-	if got := New(65).SizeBytes(); got != 16 {
-		t.Errorf("SizeBytes(65 bits) = %d, want 16", got)
-	}
-	if got := New(0).SizeBytes(); got != 0 {
-		t.Errorf("SizeBytes(0 bits) = %d, want 0", got)
-	}
 }
 
 func TestGetAtomicSeesSet(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 
 	"crossbfs/internal/archsim"
 	"crossbfs/internal/bfs"
-	"crossbfs/internal/obs"
 )
 
 // Multi-coprocessor extension. The paper motivates heterogeneous BFS
@@ -75,15 +74,6 @@ func partitionStats(s bfs.LevelStats, k int) bfs.LevelStats {
 
 // SimulateMulti prices the multi-coprocessor plan against a trace.
 func SimulateMulti(tr *bfs.Trace, plan MultiCross, link archsim.Link) (*Timing, error) {
-	return SimulateMultiObserved(tr, plan, link, nil)
-}
-
-// SimulateMultiObserved is SimulateMulti with a telemetry recorder on
-// the simulated clock (see SimulateObserved for the event shapes). The
-// broadcast to the coprocessor set and the per-level ring all-reduce
-// both surface as handoff events; partitioned bottom-up levels land on
-// a lane named after the whole plan, since k devices run them jointly.
-func SimulateMultiObserved(tr *bfs.Trace, plan MultiCross, link archsim.Link, rec obs.Recorder) (*Timing, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -93,26 +83,6 @@ func SimulateMultiObserved(tr *bfs.Trace, plan MultiCross, link archsim.Link, re
 		Steps:        make([]StepTiming, 0, len(tr.Steps)),
 		EdgesVisited: tr.EdgesVisited,
 	}
-
-	live := obs.Live(rec)
-	var id uint64
-	if live {
-		id = obs.NextTraversalID()
-		rec.Event(obs.Event{
-			Kind: obs.KindPlanStart, TraversalID: id, Root: tr.Source,
-			Engine: plan.Name(), Dir: obs.DirNone,
-		})
-		// Deferred closer: the timeline stays paired on every exit
-		// path, panics included; t.Total is final when it runs.
-		defer func() {
-			rec.Event(obs.Event{
-				Kind: obs.KindPlanEnd, TraversalID: id, Root: tr.Source,
-				Engine: plan.Name(), Dir: obs.DirNone,
-				SimStart: t.Total, SimDur: t.Total,
-			})
-		}()
-	}
-
 	bitmapBytes := (tr.NumVertices + 7) / 8
 	entered := false
 	discoveredSinceHost := int64(1)
@@ -125,8 +95,6 @@ func SimulateMultiObserved(tr *bfs.Trace, plan MultiCross, link archsim.Link, re
 	for _, s := range tr.Steps {
 		var st StepTiming
 		st.Step = s.Step
-		var movedBytes int64
-		migrateFrom := ""
 		switch {
 		case !entered && small(s, plan.M1, plan.N1):
 			st.ArchName = plan.Host.Name
@@ -137,8 +105,6 @@ func SimulateMultiObserved(tr *bfs.Trace, plan MultiCross, link archsim.Link, re
 		default:
 			if !entered {
 				// Broadcast the traversal state to every coprocessor.
-				movedBytes = int64(k) * (2*bitmapBytes + 8*discoveredSinceHost)
-				migrateFrom = plan.Host.Name
 				st.Transfer = float64(k) * link.TransferTime(2*bitmapBytes+8*discoveredSinceHost)
 				entered = true
 			}
@@ -165,37 +131,9 @@ func SimulateMultiObserved(tr *bfs.Trace, plan MultiCross, link archsim.Link, re
 				st.Dir = bfs.BottomUp
 				st.Kernel = worst
 				if k > 1 {
-					ringBytes := 2 * bitmapBytes * int64(k-1) / int64(k)
-					st.Transfer += link.TransferTime(ringBytes)
-					movedBytes += int64(k) * ringBytes
-					if migrateFrom == "" {
-						migrateFrom = st.ArchName // all-reduce among peers
-					}
+					st.Transfer += link.TransferTime(2 * bitmapBytes * int64(k-1) / int64(k))
 				}
 			}
-		}
-		if live {
-			if st.Transfer > 0 {
-				rec.Event(obs.Event{
-					Kind: obs.KindHandoff, TraversalID: id, Root: tr.Source,
-					Engine: plan.Name(), Step: int32(s.Step), Dir: obs.DirNone,
-					From: migrateFrom, Device: st.ArchName, Bytes: movedBytes,
-					SimStart: t.Total, SimDur: st.Transfer,
-				})
-			}
-			rec.Event(obs.Event{
-				Kind: obs.KindSimStep, TraversalID: id, Root: tr.Source,
-				Engine: plan.Name(), Step: int32(s.Step),
-				Dir:              obs.Direction(st.Dir),
-				Device:           st.ArchName,
-				FrontierVertices: s.FrontierVertices,
-				FrontierEdges:    s.FrontierEdges,
-				Discovered:       s.Discovered,
-				Unvisited:        s.UnvisitedVertices,
-				Scans:            s.BottomUpScans,
-				SimStart:         t.Total + st.Transfer,
-				SimDur:           st.Kernel,
-			})
 		}
 		t.Steps = append(t.Steps, st)
 		t.Total += st.Kernel + st.Transfer

@@ -121,6 +121,13 @@ type DeviceLister interface {
 // With an empty schedule the result is identical to Simulate. When the
 // ladder runs out (no surviving device), the partial Timing is
 // returned together with a *fault.Error.
+//
+// opts.Recorder receives the priced timeline on the simulated clock
+// (SimStart/SimDur in modeled seconds): KindPlanStart; per step a
+// KindHandoff when the step pays a transfer, then a KindSimStep on its
+// device's lane; a retry/replan/fault event per FaultRecord; and
+// KindPlanEnd carrying the plan's total. This is the one emitter of a
+// priced timeline: with no schedule it is the clean run's.
 func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts ResilientOptions) (*Timing, error) {
 	opts = opts.withDefaults()
 	sched := opts.Schedule
@@ -329,9 +336,10 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 		st.Kernel = arch.StepTime(dir, s)
 
 		if live {
-			// Transfer-then-kernel, as in SimulateObserved. An abandoned
-			// migration shows as a handoff whose From equals its target:
-			// the wasted wire time of the failed attempts.
+			// Transfer-then-kernel: the state must arrive before the
+			// device can expand the level. An abandoned migration shows
+			// as a handoff whose From equals its target: the wasted wire
+			// time of the failed attempts.
 			if st.Transfer > 0 {
 				rec.Event(obs.Event{
 					Kind: obs.KindHandoff, TraversalID: id, Root: tr.Source,

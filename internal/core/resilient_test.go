@@ -32,7 +32,7 @@ func mustSchedule(t *testing.T, spec string, seed uint64) *fault.Schedule {
 
 // TestSimulateResilientNoFaultParity pins the zero-cost property: with
 // no schedule, the resilient path is bit-identical to Simulate for
-// every plan shape.
+// every plan shape, and its recorder sees the clean priced timeline.
 func TestSimulateResilientNoFaultParity(t *testing.T) {
 	tr := testTrace(t, 10, 8, 7)
 	link := archsim.PCIe()
@@ -43,9 +43,11 @@ func TestSimulateResilientNoFaultParity(t *testing.T) {
 		TwoArchPlan{TDArch: archsim.SandyBridge(), BUArch: archsim.KeplerK20x(), M: 64, N: 64},
 		CrossTDBU{Host: archsim.SandyBridge(), Coprocessor: archsim.KeplerK20x(), M1: 64, N1: 64},
 	}
+	handoffs := 0
 	for _, p := range plans {
 		want := Simulate(tr, p, link)
-		got, err := SimulateResilient(tr, p, link, ResilientOptions{})
+		rec := &captureRecorder{}
+		got, err := SimulateResilient(tr, p, link, ResilientOptions{Recorder: rec})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
@@ -56,7 +58,71 @@ func TestSimulateResilientNoFaultParity(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%s: resilient timing diverges from Simulate:\nwant %+v\ngot  %+v", p.Name(), want, got)
 		}
+		handoffs += checkCleanTimeline(t, p.Name(), rec.events, want)
 	}
+	if handoffs == 0 {
+		t.Fatal("no plan migrated between devices; the handoff events went untested")
+	}
+}
+
+// checkCleanTimeline requires events to be the fault-free priced
+// timeline of want: one plan_start; per step a handoff exactly when
+// the step pays a transfer, starting at the running total, then a
+// sim_step on the step's device after the transfer; one plan_end
+// carrying the total. All share one nonzero TraversalID. It returns
+// the number of handoffs.
+func checkCleanTimeline(t *testing.T, plan string, events []obs.Event, want *Timing) int {
+	t.Helper()
+	next := func(kind obs.Kind) obs.Event {
+		t.Helper()
+		if len(events) == 0 {
+			t.Fatalf("%s: timeline ends early, want a %s event", plan, kind)
+		}
+		e := events[0]
+		events = events[1:]
+		if e.Kind != kind {
+			t.Fatalf("%s: got a %s event, want %s", plan, e.Kind, kind)
+		}
+		return e
+	}
+	start := next(obs.KindPlanStart)
+	if start.TraversalID == 0 || start.Engine != plan {
+		t.Fatalf("%s: plan_start has ID %d, engine %q", plan, start.TraversalID, start.Engine)
+	}
+	sameRun := func(e obs.Event) {
+		t.Helper()
+		if e.TraversalID != start.TraversalID || e.Engine != plan {
+			t.Fatalf("%s: %s event has ID %d, engine %q; plan_start had %d", plan, e.Kind, e.TraversalID, e.Engine, start.TraversalID)
+		}
+	}
+	handoffs := 0
+	total := 0.0
+	for _, st := range want.Steps {
+		if st.Transfer > 0 {
+			h := next(obs.KindHandoff)
+			sameRun(h)
+			handoffs++
+			if h.Step != int32(st.Step) || h.Device != st.ArchName || h.SimStart != total || h.SimDur != st.Transfer {
+				t.Errorf("%s step %d: handoff %+v, want to %s at %v for %v", plan, st.Step, h, st.ArchName, total, st.Transfer)
+			}
+		}
+		s := next(obs.KindSimStep)
+		sameRun(s)
+		if s.Step != int32(st.Step) || s.Dir != obs.Direction(st.Dir) || s.Device != st.ArchName ||
+			s.SimStart != total+st.Transfer || s.SimDur != st.Kernel {
+			t.Errorf("%s step %d: sim_step %+v, want %s %s at %v for %v", plan, st.Step, s, st.ArchName, st.Dir, total+st.Transfer, st.Kernel)
+		}
+		total += st.Kernel + st.Transfer
+	}
+	end := next(obs.KindPlanEnd)
+	sameRun(end)
+	if end.SimDur != want.Total {
+		t.Errorf("%s: plan_end SimDur %v, want the total %v", plan, end.SimDur, want.Total)
+	}
+	if len(events) > 0 {
+		t.Errorf("%s: %d events after plan_end, first %s", plan, len(events), events[0].Kind)
+	}
+	return handoffs
 }
 
 // TestResilientGPUCrashAtHandoff is the acceptance scenario: the GPU

@@ -3,7 +3,6 @@ package core
 import (
 	"crossbfs/internal/archsim"
 	"crossbfs/internal/bfs"
-	"crossbfs/internal/obs"
 )
 
 // StepTiming is the priced outcome of one expansion step — one row of
@@ -65,58 +64,25 @@ func (t *Timing) GTEPS() float64 { return t.TEPS() / 1e9 }
 // everything discovered so far, which is the mechanism behind the
 // paper's 695x best-to-worst spread for cross-architecture switching.
 func Simulate(tr *bfs.Trace, plan Plan, link archsim.Link) *Timing {
-	return SimulateObserved(tr, plan, link, nil)
-}
-
-// SimulateObserved is Simulate with a telemetry recorder on the
-// simulated clock: it opens a plan timeline (KindPlanStart), emits one
-// KindSimStep per priced level on its device's lane and a KindHandoff
-// for every cross-device migration (SimStart/SimDur in modeled
-// seconds), and closes with KindPlanEnd carrying the plan's total.
-// rec nil or obs.Nop makes it exactly Simulate.
-func SimulateObserved(tr *bfs.Trace, plan Plan, link archsim.Link, rec obs.Recorder) *Timing {
 	stepper := plan.Begin()
 	t := &Timing{
 		Plan:         plan.Name(),
 		Steps:        make([]StepTiming, 0, len(tr.Steps)),
 		EdgesVisited: tr.EdgesVisited,
 	}
-
-	live := obs.Live(rec)
-	var id uint64
-	if live {
-		id = obs.NextTraversalID()
-		rec.Event(obs.Event{
-			Kind: obs.KindPlanStart, TraversalID: id, Root: tr.Source,
-			Engine: plan.Name(), Dir: obs.DirNone,
-		})
-		// The closer runs under defer so the timeline stays paired even
-		// if a malformed trace panics a Place call mid-loop; t.Total is
-		// final by the time any exit path runs it.
-		defer func() {
-			rec.Event(obs.Event{
-				Kind: obs.KindPlanEnd, TraversalID: id, Root: tr.Source,
-				Engine: plan.Name(), Dir: obs.DirNone,
-				SimStart: t.Total, SimDur: t.Total,
-			})
-		}()
-	}
-
 	prevArch := ""
 	discoveredSinceSwitch := int64(1) // the source itself
 	bitmapBytes := (tr.NumVertices + 7) / 8
 
 	for _, s := range tr.Steps {
-		info := bfs.StepInfo{
+		pl := stepper.Place(bfs.StepInfo{
 			Step:              s.Step,
 			FrontierVertices:  s.FrontierVertices,
 			FrontierEdges:     s.FrontierEdges,
 			UnvisitedVertices: s.UnvisitedVertices,
 			TotalVertices:     tr.NumVertices,
 			TotalEdges:        tr.NumEdges,
-		}
-		pl := stepper.Place(info)
-
+		})
 		st := StepTiming{
 			Step:     s.Step,
 			ArchName: pl.Arch.Name,
@@ -124,36 +90,9 @@ func SimulateObserved(tr *bfs.Trace, plan Plan, link archsim.Link, rec obs.Recor
 			Dir:      pl.Dir,
 			Kernel:   pl.Arch.StepTime(pl.Dir, s),
 		}
-		var movedBytes int64
 		if prevArch != "" && prevArch != pl.Arch.Name {
-			movedBytes = 2*bitmapBytes + 8*discoveredSinceSwitch
-			st.Transfer = link.TransferTime(movedBytes)
+			st.Transfer = link.TransferTime(2*bitmapBytes + 8*discoveredSinceSwitch)
 			discoveredSinceSwitch = 0
-		}
-		if live {
-			// The timeline plays transfer-then-kernel: the state must
-			// arrive before the device can expand the level.
-			if st.Transfer > 0 {
-				rec.Event(obs.Event{
-					Kind: obs.KindHandoff, TraversalID: id, Root: tr.Source,
-					Engine: plan.Name(), Step: int32(s.Step), Dir: obs.DirNone,
-					From: prevArch, Device: pl.Arch.Name, Bytes: movedBytes,
-					SimStart: t.Total, SimDur: st.Transfer,
-				})
-			}
-			rec.Event(obs.Event{
-				Kind: obs.KindSimStep, TraversalID: id, Root: tr.Source,
-				Engine: plan.Name(), Step: int32(s.Step),
-				Dir:              obs.Direction(pl.Dir),
-				Device:           pl.Arch.Name,
-				FrontierVertices: s.FrontierVertices,
-				FrontierEdges:    s.FrontierEdges,
-				Discovered:       s.Discovered,
-				Unvisited:        s.UnvisitedVertices,
-				Scans:            s.BottomUpScans,
-				SimStart:         t.Total + st.Transfer,
-				SimDur:           st.Kernel,
-			})
 		}
 		prevArch = pl.Arch.Name
 		discoveredSinceSwitch += s.Discovered

@@ -56,34 +56,3 @@ func TestRenderHeuristics(t *testing.T) {
 		t.Errorf("render output missing fields:\n%s", buf.String())
 	}
 }
-
-func TestReplicateMetric(t *testing.T) {
-	r, err := ReplicateMetric([]uint64{1, 2, 3}, func(seed uint64) (float64, error) {
-		return float64(seed * 2), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Mean != 4 || r.Min != 2 || r.Max != 6 {
-		t.Errorf("replicated = %+v", r)
-	}
-	if r.String() == "" {
-		t.Error("empty string form")
-	}
-	if _, err := ReplicateMetric(nil, nil); err == nil {
-		t.Error("no seeds accepted")
-	}
-}
-
-func TestCrossSpeedupReplicated(t *testing.T) {
-	rep, err := CrossSpeedupReplicated(Config{Scale: 13, EdgeFactor: 16, NumRoots: 2}, []uint64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Values) != 3 {
-		t.Fatalf("%d values", len(rep.Values))
-	}
-	if rep.Min <= 1 {
-		t.Errorf("cross speedup dipped to %.2fx across seeds", rep.Min)
-	}
-}

@@ -2,9 +2,8 @@ package graph
 
 // Analysis helpers used by the experiment drivers and examples:
 // connected components (which also back the Graph 500 rule that search
-// keys must reach more than a trivial component), degree histograms
-// (Figs. 1-2 depend on the R-MAT skew), and a BFS-based diameter
-// estimate.
+// keys must reach more than a trivial component) and a BFS-based
+// diameter estimate.
 
 // ConnectedComponents labels every vertex with a component id in
 // [0, count) and returns the labels and the component count.
@@ -36,42 +35,6 @@ func (g *CSR) ConnectedComponents() (labels []int32, count int) {
 		}
 	}
 	return labels, count
-}
-
-// LargestComponent returns the vertices of the largest connected
-// component (ties broken by lowest component id).
-func (g *CSR) LargestComponent() []int32 {
-	labels, count := g.ConnectedComponents()
-	if count == 0 {
-		return nil
-	}
-	sizes := make([]int, count)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	best := 0
-	for id, s := range sizes {
-		if s > sizes[best] {
-			best = id
-		}
-	}
-	var members []int32
-	for v, l := range labels {
-		if l == int32(best) {
-			members = append(members, int32(v))
-		}
-	}
-	return members
-}
-
-// DegreeHistogram returns counts[d] = number of vertices of degree d,
-// up to and including the maximum degree.
-func (g *CSR) DegreeHistogram() []int64 {
-	counts := make([]int64, g.MaxDegree()+1)
-	for v := 0; v < g.NumVertices(); v++ {
-		counts[g.Degree(int32(v))]++
-	}
-	return counts
 }
 
 // Eccentricity returns the largest BFS distance from source within its

@@ -30,32 +30,6 @@ func TestConnectedComponentsEmpty(t *testing.T) {
 	}
 }
 
-func TestLargestComponent(t *testing.T) {
-	g := mustBuild(t, 7, []Edge{{0, 1}, {1, 2}, {2, 3}, {4, 5}}, BuildOptions{Symmetrize: true})
-	members := g.LargestComponent()
-	if len(members) != 4 {
-		t.Fatalf("largest component has %d members, want 4", len(members))
-	}
-	want := map[int32]bool{0: true, 1: true, 2: true, 3: true}
-	for _, v := range members {
-		if !want[v] {
-			t.Errorf("unexpected member %d", v)
-		}
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	// Star with 3 leaves: hub degree 3, leaves degree 1.
-	g := mustBuild(t, 4, []Edge{{0, 1}, {0, 2}, {0, 3}}, BuildOptions{Symmetrize: true})
-	h := g.DegreeHistogram()
-	if len(h) != 4 {
-		t.Fatalf("histogram length %d, want 4", len(h))
-	}
-	if h[1] != 3 || h[3] != 1 || h[0] != 0 || h[2] != 0 {
-		t.Errorf("histogram = %v", h)
-	}
-}
-
 func TestEccentricity(t *testing.T) {
 	// Path 0-1-2-3-4.
 	g := mustBuild(t, 5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}}, BuildOptions{Symmetrize: true})

@@ -80,19 +80,3 @@ func LoadEdgeList(path string) (*CSR, []int64, error) {
 	}
 	return g, origIDs, nil
 }
-
-// WriteEdgeList writes the graph as a text edge list, each undirected
-// edge once (u <= v), with a header comment.
-func (g *CSR) WriteEdgeList(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	fmt.Fprintf(bw, "# crossbfs edge list: %d vertices, %d directed entries\n",
-		g.NumVertices(), g.NumEdges())
-	for u := int32(0); u < int32(g.NumVertices()); u++ {
-		for _, v := range g.Neighbors(u) {
-			if u <= v {
-				fmt.Fprintf(bw, "%d\t%d\n", u, v)
-			}
-		}
-	}
-	return bw.Flush()
-}

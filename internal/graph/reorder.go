@@ -17,8 +17,8 @@ import "sort"
 // neighbors come first (ties by vertex id for determinism). Returns
 // the receiver for chaining.
 //
-// Note HasEdge relies on sorted adjacency; after this reordering use
-// HasEdgeUnsorted or keep a pristine copy for membership queries.
+// Note HasEdge relies on sorted adjacency; keep a pristine copy
+// (Clone) for membership queries after this reordering.
 func (g *CSR) SortNeighborsByDegree() *CSR {
 	for v := 0; v < g.NumVertices(); v++ {
 		adj := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
@@ -31,24 +31,6 @@ func (g *CSR) SortNeighborsByDegree() *CSR {
 		})
 	}
 	return g
-}
-
-// SortNeighborsByID restores ascending adjacency order (the Build
-// default), re-enabling binary-search HasEdge.
-func (g *CSR) SortNeighborsByID() *CSR {
-	g.sortLists(false)
-	return g
-}
-
-// HasEdgeUnsorted reports whether (u, v) exists by linear scan,
-// correct regardless of adjacency ordering.
-func (g *CSR) HasEdgeUnsorted(u, v int32) bool {
-	for _, w := range g.Neighbors(u) {
-		if w == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Clone returns a deep copy of the graph, useful before destructive

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -63,6 +64,7 @@ func familyOf(name string, types map[string]string) string {
 func ParseExposition(r io.Reader) ([]ExpoFamily, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Split(splitLines)
 
 	help := make(map[string]string)
 	types := make(map[string]string)
@@ -168,6 +170,19 @@ func ParseExposition(r io.Reader) ([]ExpoFamily, error) {
 	return out, nil
 }
 
+// splitLines splits at '\n', the format's only line break. Unlike
+// bufio.ScanLines it keeps a '\r' before the break: that byte belongs
+// to the line, and a HELP text may end in one.
+func splitLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
 // ValidateExposition checks a page end to end and reports summary
 // stats — the promtool-equivalent entry point. On top of the syntax
 // ParseExposition checks, every family must declare a concrete type:
@@ -213,9 +228,28 @@ func parseComment(line string) (kw, name, rest string, err error) {
 	return word, name, rest, nil
 }
 
+// unescapeHelp decodes the two HELP escapes, \\ and \n, in one
+// left-to-right pass, so the backslash an escaped backslash decodes to
+// never pairs with the byte after it. Any other backslash stays as
+// written.
 func unescapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\n`, "\n")
-	return strings.ReplaceAll(s, `\\`, `\`)
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\\' && i+1 < len(s) {
+			switch s[i+1] {
+			case '\\':
+				b.WriteByte('\\')
+				i++
+				continue
+			case 'n':
+				b.WriteByte('\n')
+				i++
+				continue
+			}
+		}
+		b.WriteByte(s[i])
+	}
+	return b.String()
 }
 
 // parseSampleLine parses `name{label="value",...} value [timestamp]`.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -94,6 +95,62 @@ func TestParseExpositionRoundTrip(t *testing.T) {
 	if flat := byName["crossbfs_untyped_total"]; flat.Type != "untyped" || flat.Samples[0].Value != 17 {
 		t.Errorf("untyped line parsed wrong: %+v", flat)
 	}
+}
+
+func TestParseHelpEscapes(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("crossbfs_x_total", `path C:\new\dir`+"\nsecond line").With().Inc()
+	var page bytes.Buffer
+	if err := reg.WriteExposition(&page); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParseExposition(&page)
+	if err != nil {
+		t.Fatalf("ParseExposition: %v", err)
+	}
+	if got, want := fams[0].Help, `path C:\new\dir`+"\nsecond line"; got != want {
+		t.Errorf("help = %q, want %q", got, want)
+	}
+}
+
+// FuzzExpositionRoundTrip: a page Registry.WriteExposition renders
+// parses back to the help text, label values and sample values it was
+// given, and ParseExposition never panics on arbitrary bytes.
+func FuzzExpositionRoundTrip(f *testing.F) {
+	f.Add("Query latency.", "serial", "reach", 3.0, math.NaN(), []byte(goodPage))
+	f.Add(`path C:\new\dir`, `a"b\c`+"\n", "", math.Inf(1), math.Inf(-1), []byte(`x{a="\q"} 1`))
+	f.Add(" tab\tand\\n", "\xfe", "1e+300", 5e-324, -0.5, []byte("# HELP\n# TYPE x histogram\nx_bucket 1\n"))
+	f.Add("ends in a carriage return\r", "\r", "", 489.0, 0.0, []byte("x 1\r\n"))
+	f.Fuzz(func(t *testing.T, help, a, b string, x, y float64, raw []byte) {
+		_, _ = ParseExposition(bytes.NewReader(raw))
+
+		if help == "" || strings.Contains(a+b, "\xff") {
+			return // registration rejects empty help and the reserved byte
+		}
+		reg := NewRegistry()
+		fam := reg.Gauge("crossbfs_fuzz_value", help, LabelEngine, LabelKind)
+		fam.With(a, b).Set(x)
+		fam.With(b, a).Set(y)
+		want := map[[2]string]float64{{a, b}: x}
+		want[[2]string{b, a}] = y // the same cell when a == b
+		var page bytes.Buffer
+		if err := reg.WriteExposition(&page); err != nil {
+			t.Fatal(err)
+		}
+		fams, err := ParseExposition(bytes.NewReader(page.Bytes()))
+		if err != nil {
+			t.Fatalf("ParseExposition of a rendered page: %v\n%s", err, page.Bytes())
+		}
+		if len(fams) != 1 || fams[0].Help != help || fams[0].Type != "gauge" || len(fams[0].Samples) != len(want) {
+			t.Fatalf("rendered %q, parsed %+v", page.Bytes(), fams)
+		}
+		for _, s := range fams[0].Samples {
+			v, ok := want[[2]string{s.Labels[LabelEngine], s.Labels[LabelKind]}]
+			if !ok || len(s.Labels) != 2 || !(s.Value == v || math.IsNaN(s.Value) && math.IsNaN(v)) {
+				t.Fatalf("parsed sample %+v, want labels and values %v", s, want)
+			}
+		}
+	})
 }
 
 func TestParseLabelEscapes(t *testing.T) {

@@ -1,20 +1,25 @@
 package obs
 
-import "strconv"
+import (
+	"strconv"
+	"sync/atomic"
+)
 
 // RegistryRecorder is the event stream's aggregator: one instance
-// folds the events of one engine into Registry cells. The dimensional
-// contract is honored by construction — every (engine, kind), (engine,
-// dir) and (engine, rank) tuple the recorder will ever touch is
-// interned in NewRegistryRecorder, so Event is nothing but atomic adds
-// on pre-resolved cells: 0 allocs/op, gated by
+// folds the events of one engine into Registry cells. The per-engine
+// cells and the WithRanks cells are interned at wiring time. The
+// (engine, kind) and (engine, dir) cells are interned the first time
+// an event adds to them, so /metrics carries only the kinds and
+// directions this engine emits: a point-query recorder never shows a
+// bottom-up series. After that first event, Event is nothing but
+// atomic adds on resolved cells: 0 allocs/op, gated by
 // TestRegistryRecorderAllocs and the "labeled" mode of
 // BenchmarkRunManyRecorderOverhead.
 type RegistryRecorder struct {
-	events     [numKinds]*Cell // indexed by Kind
-	discovered [2]*Cell        // indexed by Direction (td, bu)
-	frontier   [2]*Cell        // histogram of per-level |V|cq
-	levelWall  [2]*Cell        // histogram of per-level wall seconds
+	events     [numKinds]atomic.Pointer[Cell] // indexed by Kind
+	discovered [2]atomic.Pointer[Cell]        // indexed by Direction (td, bu)
+	frontier   [2]atomic.Pointer[Cell]        // histogram of per-level |V|cq
+	levelWall  [2]atomic.Pointer[Cell]        // histogram of per-level wall seconds
 	scans      *Cell
 	grains     *Cell
 	failed     *Cell
@@ -25,10 +30,13 @@ type RegistryRecorder struct {
 	ghosts     *Cell
 	rankBytes  []*Cell // exchange bytes per rank, when WithRanks ran
 
-	// engine and rankFamily let WithRanks intern late (rank count is
-	// known at plan time, after construction).
-	engine     string
-	rankFamily *Family
+	// engine and the families let Event and WithRanks intern late.
+	engine      string
+	rankFamily  *Family
+	eventsFam   *Family
+	discFam     *Family
+	frontierFam *Family
+	wallFam     *Family
 }
 
 // Direction label values.
@@ -38,8 +46,9 @@ const (
 )
 
 // NewRegistryRecorder registers the engine-level families on reg (a
-// no-op when another recorder already did) and interns the cells for
-// one engine label. Construct once per engine, at wiring time.
+// no-op when another recorder already did) and interns the per-engine
+// cells for one engine label. Construct once per engine, at wiring
+// time.
 func NewRegistryRecorder(reg *Registry, engine string) *RegistryRecorder {
 	rr := &RegistryRecorder{
 		engine: engine,
@@ -62,24 +71,28 @@ func NewRegistryRecorder(reg *Registry, engine string) *RegistryRecorder {
 			"Remote top-down claims that won their vertex, by engine.", LabelEngine).With(engine),
 		rankFamily: reg.Counter("crossbfs_engine_exchange_bytes_total",
 			"Frontier-exchange payload bytes, by engine and rank.", LabelEngine, LabelRank),
-	}
-	events := reg.Counter("crossbfs_engine_events_total",
-		"Telemetry events, by engine and event kind.", LabelEngine, LabelKind)
-	for k := range rr.events {
-		rr.events[k] = events.With(engine, Kind(k).String())
-	}
-	disc := reg.Counter("crossbfs_engine_discovered_total",
-		"Vertices discovered across levels, by engine and direction.", LabelEngine, LabelDir)
-	frontier := reg.Histogram("crossbfs_engine_frontier_vertices",
-		"Per-level frontier size |V|cq, by engine and direction.", SizeBuckets(), LabelEngine, LabelDir)
-	wall := reg.Histogram("crossbfs_engine_level_seconds",
-		"Per-level wall time, by engine and direction.", LatencyBuckets(), LabelEngine, LabelDir)
-	for i, dir := range []string{dirTDLabel, dirBULabel} {
-		rr.discovered[i] = disc.With(engine, dir)
-		rr.frontier[i] = frontier.With(engine, dir)
-		rr.levelWall[i] = wall.With(engine, dir)
+		eventsFam: reg.Counter("crossbfs_engine_events_total",
+			"Telemetry events, by engine and event kind.", LabelEngine, LabelKind),
+		discFam: reg.Counter("crossbfs_engine_discovered_total",
+			"Vertices discovered across levels, by engine and direction.", LabelEngine, LabelDir),
+		frontierFam: reg.Histogram("crossbfs_engine_frontier_vertices",
+			"Per-level frontier size |V|cq, by engine and direction.", SizeBuckets(), LabelEngine, LabelDir),
+		wallFam: reg.Histogram("crossbfs_engine_level_seconds",
+			"Per-level wall time, by engine and direction.", LatencyBuckets(), LabelEngine, LabelDir),
 	}
 	return rr
+}
+
+// cell returns the cell in slot, interning (engine, value) in f the
+// first time. Racing first calls intern the same cell, since f holds
+// one per label tuple.
+func (rr *RegistryRecorder) cell(slot *atomic.Pointer[Cell], f *Family, value string) *Cell {
+	if c := slot.Load(); c != nil {
+		return c
+	}
+	c := f.With(rr.engine, value)
+	slot.Store(c)
+	return c
 }
 
 // WithRanks interns rank cells 0..n-1 for the sharded exchange
@@ -99,7 +112,7 @@ func (rr *RegistryRecorder) Event(e Event) {
 	if int(e.Kind) >= numKinds {
 		return
 	}
-	rr.events[e.Kind].Inc()
+	rr.cell(&rr.events[e.Kind], rr.eventsFam, e.Kind.String()).Inc()
 	switch e.Kind {
 	case KindTraversalStart:
 		if e.Reused {
@@ -110,17 +123,17 @@ func (rr *RegistryRecorder) Event(e Event) {
 			rr.failed.Inc()
 		}
 	case KindLevel:
-		d := 0
+		d, dir := 0, dirTDLabel
 		if e.Dir == BottomUp {
-			d = 1
+			d, dir = 1, dirBULabel
 			// Top-down levels test entries too (the point kernel's
 			// Scans); this series counts the bottom-up ones.
 			rr.scans.Add(float64(e.Scans))
 		}
-		rr.discovered[d].Add(float64(e.Discovered))
+		rr.cell(&rr.discovered[d], rr.discFam, dir).Add(float64(e.Discovered))
 		rr.grains.Add(float64(e.Grains))
-		rr.frontier[d].Observe(float64(e.FrontierVertices))
-		rr.levelWall[d].Observe(e.WallDur.Seconds())
+		rr.cell(&rr.frontier[d], rr.frontierFam, dir).Observe(float64(e.FrontierVertices))
+		rr.cell(&rr.levelWall[d], rr.wallFam, dir).Observe(e.WallDur.Seconds())
 	case KindPlanEnd:
 		rr.planSim.Add(e.SimDur)
 	case KindHandoff:

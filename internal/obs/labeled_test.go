@@ -147,9 +147,10 @@ func TestRegistryRecorderSharesCells(t *testing.T) {
 	}
 }
 
-// TestRegistryRecorderAllocs is the hot-path contract: with every
-// label tuple pre-interned, Event performs only atomic operations on
-// every kind — 0 allocs/op, same as Nop.
+// TestRegistryRecorderAllocs is the hot-path contract: once its first
+// event has interned each label tuple (AllocsPerRun's warm-up run feeds
+// every kind), Event performs only atomic operations on every kind —
+// 0 allocs/op, same as Nop.
 func TestRegistryRecorderAllocs(t *testing.T) {
 	reg := NewRegistry()
 	rr := NewRegistryRecorder(reg, "hybrid(64,64)").WithRanks(4)
@@ -160,6 +161,49 @@ func TestRegistryRecorderAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("RegistryRecorder.Event allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestRegistryRecorderShowsOnlyFedSeries: kind and direction series
+// appear once an event feeds them. A recorder fed the point kernel's
+// shape (traversal start, one top-down level, traversal end) puts
+// three events_total series and no bottom-up series on the page.
+func TestRegistryRecorderShowsOnlyFedSeries(t *testing.T) {
+	reg := NewRegistry()
+	rr := NewRegistryRecorder(reg, "bidirectional")
+	rr.Event(Event{Kind: KindTraversalStart})
+	rr.Event(Event{Kind: KindLevel, Dir: TopDown, FrontierVertices: 1, Discovered: 4, WallDur: time.Microsecond})
+	rr.Event(Event{Kind: KindTraversalEnd})
+	var sb strings.Builder
+	if err := reg.WriteExposition(&sb); err != nil {
+		t.Fatalf("WriteExposition: %v", err)
+	}
+	page := sb.String()
+	events := 0
+	for _, line := range strings.Split(page, "\n") {
+		if strings.HasPrefix(line, "crossbfs_engine_events_total{") {
+			events++
+		}
+		if strings.Contains(line, `dir="bu"`) {
+			t.Errorf("top-down-only recorder put a bottom-up series on the page: %s", line)
+		}
+	}
+	if events != 3 {
+		t.Errorf("%d events_total series, want 3:\n%s", events, page)
+	}
+	for _, want := range []string{
+		`crossbfs_engine_events_total{engine="bidirectional",kind="traversal_start"} 1`,
+		`crossbfs_engine_events_total{engine="bidirectional",kind="level"} 1`,
+		`crossbfs_engine_events_total{engine="bidirectional",kind="traversal_end"} 1`,
+		`crossbfs_engine_discovered_total{engine="bidirectional",dir="td"} 4`,
+		`crossbfs_engine_level_seconds_count{engine="bidirectional",dir="td"} 1`,
+	} {
+		if !strings.Contains(page, want) {
+			t.Errorf("page misses %q:\n%s", want, page)
+		}
+	}
+	if _, err := ValidateExposition(strings.NewReader(page)); err != nil {
+		t.Errorf("page fails validation: %v", err)
 	}
 }
 

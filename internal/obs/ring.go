@@ -39,10 +39,10 @@ const (
 // whose traversal was already evicted.
 //
 // DumpTo replays the retained groups into any Recorder (each group
-// contiguously, groups ordered by their first wall instant so a
-// StreamWriter replay latches the earliest epoch); WriteTrace is the
-// one-call dump to a Chrome trace file. Both may run while traversals
-// are still being recorded.
+// contiguously, in the order they started, groups with no wall instant
+// first); WriteTrace is the one-call dump to a Chrome trace file
+// through a TraceWriter. Both may run while traversals are still being
+// recorded.
 type Ring struct {
 	keep      int
 	maxEvents int
@@ -188,10 +188,9 @@ func (r *Ring) Event(e Event) {
 
 // snapshot collects retained groups plus copies of still-open ones,
 // ordered for replay: groups without wall instants (pure simulated
-// timelines, whose timestamps are epoch-independent) first, then by
-// first wall instant, so even a writer that latches its epoch from the
-// first event it receives (StreamWriter) gets the earliest one and no
-// negative timestamps.
+// timelines, whose timestamps are on the simulated clock) first, then
+// by first wall instant, so a dump lists traversals in the order they
+// started whatever order they finished in.
 func (r *Ring) snapshot() []*ringGroup {
 	r.done.Lock()
 	groups := make([]*ringGroup, 0, len(r.done.groups))

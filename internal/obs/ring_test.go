@@ -47,8 +47,8 @@ func TestRingDumpIsValidTrace(t *testing.T) {
 	r := NewRing(4, 0)
 	base := time.UnixMicro(1700000000000000)
 	// Feed out of wall order: the later-started traversal completes
-	// first. The dump must still order groups by wall instant so the
-	// replayed TraceWriter latches the earliest epoch (no negative ts).
+	// first. The dump must still order groups by wall instant, and no
+	// event may land before the epoch (no negative ts).
 	feedTraversal(r, 2, 3, base.Add(50*time.Millisecond))
 	feedTraversal(r, 1, 4, base)
 	var buf bytes.Buffer

@@ -92,11 +92,14 @@ func ParseObjective(spec string) (Objective, error) {
 			return bad(fmt.Sprintf("threshold %q needs a %% suffix", f[3]))
 		}
 		pct, err := strconv.ParseFloat(pctStr, 64)
-		if err != nil || pct <= 0 || pct >= 100 {
+		ratio := pct / 100
+		// A range test rejects NaN, which fails every comparison, and
+		// tests the ratio so a percentage that underflows to 0 fails too.
+		if err != nil || !(ratio > 0 && ratio < 1) {
 			return bad(fmt.Sprintf("bad error percentage %q", f[3]))
 		}
 		o.Kind = ErrorRatioObjective
-		o.Threshold = pct / 100
+		o.Threshold = ratio
 		return o, nil
 	}
 	digits, ok := strings.CutPrefix(f[1], "p")

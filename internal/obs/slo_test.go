@@ -52,12 +52,48 @@ func TestParseObjectiveRejects(t *testing.T) {
 		"oltp p99 < 2ms over -5m",
 		"error ratio < 0.1 over 30m",
 		"error ratio < 110% over 30m",
+		"error ratio < NaN% over 5m",
+		"error ratio < nan% over 5m",
+		"error ratio < 1e-323% over 5m",
 		"error budget < 1% over 30m",
 	} {
 		if _, err := ParseObjective(spec); err == nil {
 			t.Errorf("ParseObjective(%q) accepted", spec)
 		}
 	}
+}
+
+// FuzzParseObjective: whatever ParseObjective accepts can be
+// evaluated. It has a selector and a positive window, a finite
+// positive threshold, and an error budget strictly inside (0, 1), so a
+// burn rate divides by a real budget.
+func FuzzParseObjective(f *testing.F) {
+	for _, spec := range []string{
+		"oltp p99 < 2ms over 5m",
+		"reach p999 < 500us over 1h",
+		"total p50 < 1s over 30s",
+		"error ratio < 0.1% over 30m",
+		"error ratio < NaN% over 5m",
+		"error ratio < 1e-300% over 5m",
+		"oltp p0001 < 1ns over 1ns",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		o, err := ParseObjective(spec)
+		if err != nil {
+			return
+		}
+		if o.Selector == "" || o.Window <= 0 {
+			t.Fatalf("ParseObjective(%q) = %+v: empty selector or non-positive window", spec, o)
+		}
+		if math.IsInf(o.Threshold, 0) || !(o.Threshold > 0) {
+			t.Fatalf("ParseObjective(%q) threshold = %v, want finite and > 0", spec, o.Threshold)
+		}
+		if b := o.Budget(); !(b > 0 && b < 1) {
+			t.Fatalf("ParseObjective(%q) budget = %v, want in (0, 1)", spec, b)
+		}
+	})
 }
 
 func TestObjectiveBudget(t *testing.T) {

@@ -9,18 +9,11 @@ import (
 	"time"
 )
 
-// This file holds the Chrome trace-event encoder shared by the two
-// trace-producing recorders: TraceWriter (hold the whole run in memory,
-// encode and write on Close — exact, lossless) and StreamWriter (stream.go:
-// bounded memory, incremental writes, drops under backpressure). Both
-// compose the same two pieces so their output is byte-compatible:
-//
-//   - laneState: the Event -> traceEvent translation plus all lane
-//     bookkeeping (pid/tid registration, plan names, thread_name
-//     metadata, the wall epoch). Encoded events leave through a sink
-//     callback, so the owner decides where bytes accumulate.
-//   - framer: the JSON document framing (preamble with the well-known
-//     host/interconnect metadata, ",\n" separators, epilogue).
+// This file holds the Chrome trace-event encoder behind TraceWriter
+// (and so behind Ring.WriteTrace, which replays into one): laneState
+// translates each Event into traceEvents, keeps the lane bookkeeping
+// (pid/tid registration, plan names, thread_name metadata, the wall
+// epoch) and frames the JSON document around them.
 
 // Reserved lane pids.
 const (
@@ -44,17 +37,20 @@ type traceEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// laneState owns the Event -> traceEvent translation and every piece
-// of registration state behind it. It is not safe for concurrent use;
-// owners serialize access (TraceWriter and StreamWriter both hold a
-// mutex across event).
+// laneState owns the Event -> traceEvent translation, every piece of
+// registration state behind it and the document it encodes into. It is
+// not safe for concurrent use; TraceWriter.Close runs it under the
+// writer's mutex.
 type laneState struct {
 	// Wall epoch, so the timeline starts at ts 0 regardless of when
-	// the process began. TraceWriter sets it to the run's earliest
-	// wall instant before encoding; StreamWriter, which encodes as
-	// events arrive, latches the first wall-clocked event's.
-	epoch     time.Time
-	haveEpoch bool
+	// the process began: the run's earliest wall instant, set before
+	// the first event is encoded.
+	epoch time.Time
+	// doc is the JSON document so far. Registration metadata
+	// (process_name, thread_name) lands in it interleaved with the
+	// events that first need it; that ordering is part of the
+	// golden-file contract.
+	doc bytes.Buffer
 
 	pids     map[string]int  // lane name -> pid
 	tids     map[uint64]int  // TraversalID -> tid
@@ -63,16 +59,11 @@ type laneState struct {
 	nextTid  int
 	planName map[uint64]string // TraversalID -> plan name (simulated)
 	named    map[[2]int]bool   // (pid,tid) pairs with thread_name emitted
-
-	// emit receives each encoded traceEvent in order. Registration
-	// metadata (process_name, thread_name) is emitted through the same
-	// sink, interleaved exactly where TraceWriter historically placed
-	// it — that ordering is part of the golden-file contract.
-	emit func(traceEvent)
 }
 
-func newLaneState(emit func(traceEvent)) *laneState {
+func newLaneState(epoch time.Time) *laneState {
 	return &laneState{
+		epoch:    epoch,
 		pids:     map[string]int{"host": hostPid, "interconnect": linkPid},
 		tids:     make(map[uint64]int),
 		rankTids: make(map[rankKey]int),
@@ -80,12 +71,11 @@ func newLaneState(emit func(traceEvent)) *laneState {
 		nextTid:  1,
 		planName: make(map[uint64]string),
 		named:    make(map[[2]int]bool),
-		emit:     emit,
 	}
 }
 
 // event translates one telemetry event into zero or more traceEvents
-// delivered to the sink.
+// appended to the document.
 func (t *laneState) event(e Event) {
 	switch e.Kind {
 	case KindTraversalStart:
@@ -314,15 +304,12 @@ func (t *laneState) planLabel(id uint64) string {
 	return "plan"
 }
 
-// wallTS converts a wall instant to trace microseconds, latching the
-// epoch on first use unless the owner set it. Zero instants (events
-// from emitters that had no clock in hand) map to the epoch.
+// wallTS converts a wall instant to trace microseconds since the
+// epoch. Zero instants (events from emitters that had no clock in
+// hand) map to the epoch.
 func (t *laneState) wallTS(w time.Time) float64 {
 	if w.IsZero() {
 		return 0
-	}
-	if !t.haveEpoch {
-		t.epoch, t.haveEpoch = w, true
 	}
 	return float64(w.Sub(t.epoch)) / float64(time.Microsecond)
 }
@@ -374,44 +361,37 @@ func (t *laneState) threadName(pid, tid int, name string) {
 	})
 }
 
-// framer writes the JSON document structure around encoded events. Its
-// whole state is one bool, which lets StreamWriter snapshot and roll
-// it back when an event is dropped after partial encoding.
-type framer struct {
-	started bool
-}
-
-// appendEvent writes ev to buf with the correct framing: the document
+// emit appends ev to the document with the correct framing: the
 // preamble plus the well-known host/interconnect lane metadata before
 // the first event, a ",\n" separator before every later one.
-func (f *framer) appendEvent(buf *bytes.Buffer, ev traceEvent) {
-	if !f.started {
-		f.started = true
-		buf.WriteString(`{"traceEvents":[`)
-		for _, meta := range []traceEvent{
-			{Name: "process_name", Ph: "M", Pid: hostPid, Args: map[string]any{"name": "host"}},
-			{Name: "process_sort_index", Ph: "M", Pid: hostPid, Args: map[string]any{"sort_index": hostPid}},
-			{Name: "process_name", Ph: "M", Pid: linkPid, Args: map[string]any{"name": "interconnect"}},
-			{Name: "process_sort_index", Ph: "M", Pid: linkPid, Args: map[string]any{"sort_index": linkPid}},
-		} {
-			writeTraceEvent(buf, meta)
-			buf.WriteString(",\n")
-		}
-		writeTraceEvent(buf, ev)
+func (t *laneState) emit(ev traceEvent) {
+	if t.doc.Len() > 0 {
+		t.doc.WriteString(",\n")
+		writeTraceEvent(&t.doc, ev)
 		return
 	}
-	buf.WriteString(",\n")
-	writeTraceEvent(buf, ev)
+	t.doc.WriteString(`{"traceEvents":[`)
+	for _, meta := range []traceEvent{
+		{Name: "process_name", Ph: "M", Pid: hostPid, Args: map[string]any{"name": "host"}},
+		{Name: "process_sort_index", Ph: "M", Pid: hostPid, Args: map[string]any{"sort_index": hostPid}},
+		{Name: "process_name", Ph: "M", Pid: linkPid, Args: map[string]any{"name": "interconnect"}},
+		{Name: "process_sort_index", Ph: "M", Pid: linkPid, Args: map[string]any{"sort_index": linkPid}},
+	} {
+		writeTraceEvent(&t.doc, meta)
+		t.doc.WriteString(",\n")
+	}
+	writeTraceEvent(&t.doc, ev)
 }
 
-// finish writes the document epilogue. A document that never saw an
-// event still gets a valid (empty) traceEvents array.
-func (f *framer) finish(buf *bytes.Buffer) {
-	if !f.started {
-		f.started = true
-		buf.WriteString(`{"traceEvents":[`)
+// finish writes the document epilogue and returns the whole document.
+// A document that never saw an event still gets a valid (empty)
+// traceEvents array.
+func (t *laneState) finish() []byte {
+	if t.doc.Len() == 0 {
+		t.doc.WriteString(`{"traceEvents":[`)
 	}
-	buf.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")
+	t.doc.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")
+	return t.doc.Bytes()
 }
 
 func writeTraceEvent(buf *bytes.Buffer, ev traceEvent) {
@@ -453,7 +433,8 @@ func writeTraceEvent(buf *bytes.Buffer, ev traceEvent) {
 // over, so arrival order is not stamp order; encoding on Close lets
 // the time origin be the earliest stamp, and no event lands before
 // it. For runs whose length (or lifetime) makes an unbounded buffer
-// wrong, StreamWriter produces the same byte stream incrementally.
+// wrong, a Ring keeps the last few traversals in bounded memory and
+// Ring.WriteTrace encodes them the same way.
 type TraceWriter struct {
 	mu     sync.Mutex
 	w      io.Writer
@@ -485,21 +466,17 @@ func (t *TraceWriter) Close() error {
 		return nil
 	}
 	t.closed = true
-	var (
-		buf   bytes.Buffer
-		frame framer
-	)
-	lanes := newLaneState(func(ev traceEvent) { frame.appendEvent(&buf, ev) })
+	var epoch time.Time
 	for _, e := range t.events {
-		if !e.Wall.IsZero() && (!lanes.haveEpoch || e.Wall.Before(lanes.epoch)) {
-			lanes.epoch, lanes.haveEpoch = e.Wall, true
+		if !e.Wall.IsZero() && (epoch.IsZero() || e.Wall.Before(epoch)) {
+			epoch = e.Wall
 		}
 	}
+	lanes := newLaneState(epoch)
 	for _, e := range t.events {
 		lanes.event(e)
 	}
 	t.events = nil
-	frame.finish(&buf)
-	_, err := t.w.Write(buf.Bytes())
+	_, err := t.w.Write(lanes.finish())
 	return err
 }

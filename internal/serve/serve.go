@@ -66,7 +66,8 @@ type Config struct {
 	FlightKeep      int
 	FlightMaxEvents int
 	// Recorder, when non-nil, receives every event the sampled sinks
-	// see (after sampling) — the hook cmd/bfsd uses for -trace-stream.
+	// see (after sampling). perfbench taps the engine's events through
+	// it; cmd/bfsd leaves it nil.
 	Recorder obs.Recorder
 	// Pool supplies traversal workspaces; nil uses bfs.DefaultPool.
 	Pool *bfs.WorkspacePool
