@@ -17,8 +17,8 @@
 //	                   kernel, RunMany, point-query and recorder-overhead
 //	                   benches, and Graph 500 kernel 1: Edges, Generate
 //	                   and Build)
-//	-benchtime string  go test -benchtime value (default "1x")
-//	-count int         go test -count value (default 1)
+//	-benchtime string  go test -benchtime value (default "1x"); go test
+//	                   runs each benchmark once (-count 1)
 //	-threshold float   relative regression tolerance (default 0.35 = 35%)
 //	-out string        snapshot path to write (default: next BENCH_<n>.json in -dir)
 //	-prev string       snapshot to compare against (default: highest BENCH_<n>.json in -dir)
@@ -404,9 +404,9 @@ func writeSnapshot(path string, s *Snapshot) error {
 
 // runBenches shells out to go test and returns its combined output.
 // Kept as a variable so tests can stub the bench run.
-var runBenches = func(pkgs []string, benchRe, benchtime string, count int, verbose io.Writer) (string, error) {
+var runBenches = func(pkgs []string, benchRe, benchtime string, verbose io.Writer) (string, error) {
 	args := []string{"test", "-run", "^$", "-bench", benchRe, "-benchmem",
-		"-benchtime", benchtime, "-count", strconv.Itoa(count)}
+		"-benchtime", benchtime, "-count", "1"}
 	args = append(args, pkgs...)
 	cmd := exec.Command("go", args...)
 	out, err := cmd.CombinedOutput()
@@ -429,7 +429,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		pkgs      = fs.String("pkgs", "./internal/bfs,./internal/rmat,./internal/graph", "comma-separated packages to benchmark")
 		benchRe   = fs.String("bench", defaultBench, "benchmark regex for go test -bench")
 		benchtime = fs.String("benchtime", "1x", "go test -benchtime value")
-		count     = fs.Int("count", 1, "go test -count value")
 		threshold = fs.Float64("threshold", 0.35, "relative regression tolerance")
 		outPath   = fs.String("out", "", "snapshot path to write (default: next BENCH_<n>.json in -dir)")
 		prevPath  = fs.String("prev", "", "snapshot to compare against (default: highest BENCH_<n>.json in -dir)")
@@ -502,7 +501,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		if *verbose {
 			vw = stderr
 		}
-		out, err := runBenches(strings.Split(*pkgs, ","), *benchRe, *benchtime, *count, vw)
+		out, err := runBenches(strings.Split(*pkgs, ","), *benchRe, *benchtime, vw)
 		if err != nil {
 			fmt.Fprintf(stderr, "benchreport: %v\n", err)
 			return 2

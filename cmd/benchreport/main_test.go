@@ -183,7 +183,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func stubBenches(t *testing.T, out string, err error) {
 	t.Helper()
 	orig := runBenches
-	runBenches = func(_ []string, _, _ string, _ int, _ io.Writer) (string, error) {
+	runBenches = func(_ []string, _, _ string, _ io.Writer) (string, error) {
 		return out, err
 	}
 	t.Cleanup(func() { runBenches = orig })

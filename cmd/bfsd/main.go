@@ -7,7 +7,7 @@
 // Examples:
 //
 //	bfsd -graph social=rmat:18:16 -listen :8080
-//	bfsd -graph web=crawl.csr -graph roads=roads.txt -shards 4
+//	bfsd -graph web=crawl.csr -graph roads=roads.txt
 //	bfsd -graph g=rmat:14:8:42 -listen 127.0.0.1:0 -addrfile bfsd.addr
 //	bfsd -graph g=rmat:16:16 -sample 1 -deadline 500ms -queue 128
 //
@@ -87,7 +87,6 @@ type config struct {
 	queueDepth    int
 	deadline      time.Duration
 	maxDeadline   time.Duration
-	shards        int
 	sampleK       int
 	sampleSeed    uint64
 	flightKeep    int
@@ -110,7 +109,6 @@ func parseFlags(args []string, stderr *os.File) (*config, error) {
 	fs.IntVar(&cfg.queueDepth, "queue", serve.DefaultQueueDepth, "admission queue depth; beyond it requests get 429")
 	fs.DurationVar(&cfg.deadline, "deadline", serve.DefaultDeadline, "default per-query deadline")
 	fs.DurationVar(&cfg.maxDeadline, "max-deadline", serve.DefaultMaxDeadline, "cap on client-requested deadlines")
-	fs.IntVar(&cfg.shards, "shards", 0, "goroutine ranks for the partitioned engine on large graphs (0/1 = off)")
 	fs.IntVar(&cfg.sampleK, "sample", serve.DefaultSampleK, "keep 1-in-K traversals in the flight recorder")
 	fs.Uint64Var(&cfg.sampleSeed, "sample-seed", 0, "sampler seed")
 	fs.IntVar(&cfg.flightKeep, "flight-keep", 0, "traversals retained by the flight recorder (0 = default)")
@@ -179,7 +177,6 @@ func buildServer(cfg *config, stderr *os.File) (*serve.Server, error) {
 		QueueDepth:      cfg.queueDepth,
 		DefaultDeadline: cfg.deadline,
 		MaxDeadline:     cfg.maxDeadline,
-		Shards:          cfg.shards,
 		SampleK:         cfg.sampleK,
 		SampleSeed:      cfg.sampleSeed,
 		FlightKeep:      cfg.flightKeep,

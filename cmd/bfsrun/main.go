@@ -439,14 +439,8 @@ func runSharded(ctx context.Context, cfg config, g *graph.CSR, src int32, sched 
 		N:      cfg.n1,
 	}
 	start := time.Now()
-	var res *bfs.Result
-	var timing *core.Timing
-	if sched != nil {
-		res, timing, err = core.ExecuteShardedResilient(ctx, g, src, plan, nil,
-			core.ResilientOptions{Schedule: sched, Recorder: rec})
-	} else {
-		res, timing, err = core.ExecuteSharded(ctx, g, src, plan, nil, rec)
-	}
+	res, timing, err := core.ExecuteShardedResilient(ctx, g, src, plan, nil,
+		core.ResilientOptions{Schedule: sched, Recorder: rec})
 	if err != nil {
 		var fe *fault.Error
 		if errors.As(err, &fe) {

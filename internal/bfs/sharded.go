@@ -9,7 +9,6 @@ import (
 	"crossbfs/internal/bitmap"
 	"crossbfs/internal/fault"
 	"crossbfs/internal/graph"
-	"crossbfs/internal/invariant"
 	"crossbfs/internal/obs"
 	"crossbfs/internal/part"
 )
@@ -57,9 +56,8 @@ type Sharded struct {
 	// policy decides for all ranks: the collective's leader calls
 	// Choose once per level, so the direction sequence matches what
 	// the same policy picks on one box.
-	policy          Policy
-	name            string
-	checkInvariants bool
+	policy Policy
+	name   string
 
 	// faults is the rank-fault injection schedule; when it carries
 	// rank-targeted events (fault.Schedule.HasRankFaults) the engine
@@ -67,7 +65,7 @@ type Sharded struct {
 	// checkpoints, the barrier watchdog, and survivor recovery. See
 	// sharded_ft.go and DESIGN.md §4e.
 	faults *fault.Schedule
-	ftOpts FTOptions
+	ftOpts ftOptions
 
 	// Partition cache: RunMany-style workloads traverse one graph from
 	// many roots, and the partition depends only on (graph, ranks).
@@ -93,13 +91,6 @@ func NewShardedEngine(ranks int, m, n float64) *Sharded {
 // the Schedule itself, an engine with faults installed must not run
 // concurrent traversals.
 func (e *Sharded) SetFaults(s *fault.Schedule) { e.faults = s }
-
-// SetFTOptions overrides the fault-tolerance tuning knobs (timeouts,
-// backoff, lag unit). Zero fields keep their defaults.
-func (e *Sharded) SetFTOptions(o FTOptions) { e.ftOpts = o }
-
-// SetCheckInvariants toggles the post-traversal parent-tree check.
-func (e *Sharded) SetCheckInvariants(on bool) { e.checkInvariants = on }
 
 // Name implements Engine.
 func (e *Sharded) Name() string { return e.name }
@@ -146,11 +137,7 @@ func (e *Sharded) RunObserved(ctx context.Context, g *graph.CSR, source int32, w
 	if e.ranks < 1 {
 		return nil, fmt.Errorf("bfs: sharded engine needs >= 1 rank, got %d", e.ranks)
 	}
-	pol := e.policy
-	if pol == nil {
-		pol = AlwaysTopDown
-	}
-	if mn, ok := pol.(MN); ok {
+	if mn, ok := e.policy.(MN); ok {
 		if err := mn.Validate(); err != nil {
 			return nil, err
 		}
@@ -171,7 +158,7 @@ func (e *Sharded) RunObserved(ctx context.Context, g *graph.CSR, source int32, w
 
 	c := &shardedRun{
 		g: g, layout: layout, res: r, visited: ws.visited, next: ws.next,
-		policy: pol, ctx: ctx, o: &o, ranks: e.ranks, source: source,
+		policy: e.policy, ctx: ctx, o: &o, ranks: e.ranks, source: source,
 		outboxes: make([][][]int32, e.ranks),
 		deltas:   make([][]byte, e.ranks),
 		prevDir:  Direction(-1),
@@ -219,12 +206,6 @@ func (e *Sharded) RunObserved(ctx context.Context, g *graph.CSR, source int32, w
 	}
 	if c.err != nil {
 		return nil, c.err
-	}
-
-	if e.checkInvariants {
-		if err := invariant.Check(g, source, r.Parent, r.Level); err != nil {
-			return nil, fmt.Errorf("bfs: sharded post-traversal: %w", err)
-		}
 	}
 	ws.retain(r, ws.queue, ws.spare)
 	done = r

@@ -246,11 +246,11 @@ func TestShardedChaosWatchdogFencesLaggard(t *testing.T) {
 	}
 	e := NewShardedEngine(4, 14, 24)
 	e.SetFaults(mustParseFaults(t, "ranklag:2x50@2", 1))
-	e.SetFTOptions(FTOptions{
+	e.ftOpts = ftOptions{
 		LagUnit:      2 * time.Millisecond,  // 50x2ms sleep...
 		StallTimeout: 20 * time.Millisecond, // ...against a 20ms deadline
 		WatchdogPoll: time.Millisecond,
-	})
+	}
 	r, err := e.Run(g, src, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -36,17 +36,10 @@ var errEpochChanged = errors.New("bfs: sharded membership changed")
 // crash, exhausted exchange retries, or watchdog-fenced straggler).
 var errFenced = errors.New("bfs: rank fenced")
 
-// FTOptions tune the sharded engine's fault-tolerance machinery. The
-// zero value of each field means "use the default".
-type FTOptions struct {
-	// MaxRetries bounds the exchange re-attempts per rank per level
-	// before the rank declares itself failed (default 3).
-	MaxRetries int
-	// RetryBackoff is the first retry's backoff; it doubles per
-	// attempt (default 200µs).
-	RetryBackoff time.Duration
-	// BackoffCap caps the exponential backoff (default 5ms).
-	BackoffCap time.Duration
+// ftOptions time the sharded engine's fault-tolerance machinery; a
+// zero field means "use the default". The exchange retry policy is
+// fault.MaxRetries, fault.RetryBackoff and fault.BackoffCap.
+type ftOptions struct {
 	// LagUnit converts a ranklag factor into wall time: a lagging rank
 	// sleeps factor×LagUnit at its exchange seam (default 2ms).
 	LagUnit time.Duration
@@ -60,16 +53,7 @@ type FTOptions struct {
 	WatchdogPoll time.Duration
 }
 
-func (o FTOptions) withDefaults() FTOptions {
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 3
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 200 * time.Microsecond
-	}
-	if o.BackoffCap <= 0 {
-		o.BackoffCap = 5 * time.Millisecond
-	}
+func (o ftOptions) withDefaults() ftOptions {
 	if o.LagUnit <= 0 {
 		o.LagUnit = 2 * time.Millisecond
 	}
@@ -112,7 +96,7 @@ type ckptSlot struct {
 // during the run) and opts.
 type shardedFT struct {
 	sched *fault.Schedule
-	opts  FTOptions
+	opts  ftOptions
 
 	live    int
 	dead    []bool
@@ -141,7 +125,7 @@ type shardedFT struct {
 	stats RecoveryStats
 }
 
-func newShardedFT(sched *fault.Schedule, opts FTOptions, ranks int) *shardedFT {
+func newShardedFT(sched *fault.Schedule, opts ftOptions, ranks int) *shardedFT {
 	ft := &shardedFT{
 		sched:    sched,
 		opts:     opts.withDefaults(),
@@ -392,9 +376,9 @@ func (c *shardedRun) injectSeam(rank int, step int32) error {
 			return err
 		}
 	}
-	backoff := ft.opts.RetryBackoff
+	backoff := fault.RetryBackoff
 	for attempt := 0; sched.ExchangeDrops(rank, int(step), attempt); attempt++ {
-		if attempt >= ft.opts.MaxRetries {
+		if attempt >= fault.MaxRetries {
 			c.die(rank, step, fault.ExchangeDrop, "exchange retries exhausted")
 			return errFenced
 		}
@@ -404,10 +388,7 @@ func (c *shardedRun) injectSeam(rank int, step int32) error {
 		if err := c.parkAndSleep(rank, step, backoff); err != nil {
 			return err
 		}
-		backoff *= 2
-		if backoff > ft.opts.BackoffCap {
-			backoff = ft.opts.BackoffCap
-		}
+		backoff = min(2*backoff, fault.BackoffCap)
 	}
 	return nil
 }

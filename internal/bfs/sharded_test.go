@@ -63,7 +63,6 @@ func TestShardedMatchesSerial(t *testing.T) {
 		}
 		for _, ranks := range []int{1, 2, 3, 4, 8} {
 			e := NewShardedEngine(ranks, 14, 24)
-			e.SetCheckInvariants(true)
 			ws := NewWorkspace(g.NumVertices())
 			// Two traversals on the same workspace: the second also
 			// proves the rank-state pool and exchange slots reset.

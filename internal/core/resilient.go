@@ -29,20 +29,13 @@ import (
 // Every rung is visible in the Timing (Retries, Replans, Faults), so
 // callers can tell a clean run from a degraded one.
 
-// ResilientOptions configure fault-tolerant execution.
+// ResilientOptions configure fault-tolerant execution. Dropped
+// transfers follow the retry policy in package fault (MaxRetries,
+// RetryBackoff, BackoffCap).
 type ResilientOptions struct {
 	// Schedule is the fault injection registry; nil or empty injects
 	// nothing, making SimulateResilient equivalent to Simulate.
 	Schedule *fault.Schedule
-	// MaxRetries bounds the re-attempts of one dropped transfer before
-	// the migration is abandoned (replanned). <= 0 selects 3.
-	MaxRetries int
-	// RetryBackoff is the modeled wait before the first re-attempt, in
-	// seconds; it doubles per retry. <= 0 selects 50us.
-	RetryBackoff float64
-	// BackoffCap bounds the modeled backoff, in seconds. <= 0 selects
-	// 5ms.
-	BackoffCap float64
 	// Workers is the traversal parallelism for ExecuteResilient;
 	// 0 means GOMAXPROCS, 1 forces the serial kernels.
 	Workers int
@@ -60,19 +53,6 @@ type ResilientOptions struct {
 	// mirror share one ID — the invariant obs.Sampler relies on to keep
 	// or drop the whole run with a single decision.
 	TraversalID uint64
-}
-
-func (o ResilientOptions) withDefaults() ResilientOptions {
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 3
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 50e-6
-	}
-	if o.BackoffCap <= 0 {
-		o.BackoffCap = 5e-3
-	}
-	return o
 }
 
 // FaultRecord documents one fault event the executor encountered and
@@ -93,6 +73,68 @@ func (r FaultRecord) String() string {
 	return fmt.Sprintf("step %d: %s on %s -> %s (%s)", r.Step, r.Kind, r.Device, r.Action, r.Detail)
 }
 
+// timeline is one priced plan's event bracket on the simulated clock.
+// openTimeline emits plan_start; the pricer defers end, which emits
+// plan_end at the running total, so a plan that stops early on a fatal
+// rung still closes. fault logs a FaultRecord into the Timing and
+// mirrors it as an event. rec is nil when telemetry is off.
+type timeline struct {
+	rec  obs.Recorder
+	id   uint64
+	root int32
+	t    *Timing
+}
+
+// openTimeline opens t's bracket for the traversal rooted at root,
+// stamped with id (0 draws a fresh TraversalID).
+func openTimeline(rec obs.Recorder, id uint64, root int32, t *Timing) timeline {
+	if !obs.Live(rec) {
+		return timeline{t: t}
+	}
+	if id == 0 {
+		id = obs.NextTraversalID()
+	}
+	rec.Event(obs.Event{
+		Kind: obs.KindPlanStart, TraversalID: id, Root: root,
+		Engine: t.Plan, Dir: obs.DirNone,
+	})
+	return timeline{rec: rec, id: id, root: root, t: t}
+}
+
+func (tl timeline) end() {
+	if tl.rec == nil {
+		return
+	}
+	tl.rec.Event(obs.Event{
+		Kind: obs.KindPlanEnd, TraversalID: tl.id, Root: tl.root,
+		Engine: tl.t.Plan, Dir: obs.DirNone,
+		SimStart: tl.t.Total, SimDur: tl.t.Total,
+	})
+}
+
+// fault appends one ladder record and mirrors it as an event stamped
+// at the current simulated time: retry → KindRetry, recover and
+// replan → KindReplan, anything else (slowdown, fatal) → KindFault.
+func (tl timeline) fault(fr FaultRecord) {
+	tl.t.Faults = append(tl.t.Faults, fr)
+	if tl.rec == nil {
+		return
+	}
+	kind := obs.KindFault
+	switch fr.Action {
+	case "retry":
+		kind = obs.KindRetry
+	case "recover", "replan":
+		kind = obs.KindReplan
+	}
+	tl.rec.Event(obs.Event{
+		Kind: kind, TraversalID: tl.id, Root: tl.root,
+		Engine: tl.t.Plan, Step: int32(fr.Step), Dir: obs.DirNone,
+		Device: fr.Device, Detail: fr.Action + ": " + fr.Detail,
+		SimStart: tl.t.Total,
+	})
+}
+
 // DeviceLister is implemented by plans that can enumerate every device
 // they may place steps on. The resilient executor uses it to find
 // survivors when a placed device has crashed; plans that do not
@@ -109,7 +151,7 @@ type DeviceLister interface {
 //   - a step placed on a crashed device is replanned onto a surviving
 //     device (CPUs preferred), paying the transfer to move the
 //     traversal state there;
-//   - a transfer that the schedule drops is retried up to MaxRetries
+//   - a transfer that the schedule drops is retried up to fault.MaxRetries
 //     times with capped exponential backoff, each failed attempt
 //     charging its wire time plus the wait; when retries are
 //     exhausted the migration is abandoned and the step runs where
@@ -127,9 +169,9 @@ type DeviceLister interface {
 // KindHandoff when the step pays a transfer, then a KindSimStep on its
 // device's lane; a retry/replan/fault event per FaultRecord; and
 // KindPlanEnd carrying the plan's total. This is the one emitter of a
-// priced timeline: with no schedule it is the clean run's.
+// priced single-device timeline: with no schedule it is the clean
+// run's. SimulateShardedResilient shares its bracket (timeline).
 func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts ResilientOptions) (*Timing, error) {
-	opts = opts.withDefaults()
 	sched := opts.Schedule
 	sched.Reset()
 	stepper := plan.Begin()
@@ -138,51 +180,8 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 		Steps:        make([]StepTiming, 0, len(tr.Steps)),
 		EdgesVisited: tr.EdgesVisited,
 	}
-
-	rec := opts.Recorder
-	live := obs.Live(rec)
-	var id uint64
-	if live {
-		if id = opts.TraversalID; id == 0 {
-			id = obs.NextTraversalID()
-		}
-		rec.Event(obs.Event{
-			Kind: obs.KindPlanStart, TraversalID: id, Root: tr.Source,
-			Engine: plan.Name(), Dir: obs.DirNone,
-		})
-		// Deferred closer: the fatal rungs of the ladder return early
-		// with a *fault.Error, and the timeline must close on those
-		// paths too — a degraded plan still ends, at the partial total.
-		defer func() {
-			rec.Event(obs.Event{
-				Kind: obs.KindPlanEnd, TraversalID: id, Root: tr.Source,
-				Engine: plan.Name(), Dir: obs.DirNone,
-				SimStart: t.Total, SimDur: t.Total,
-			})
-		}()
-	}
-	// noteFault appends one ladder record and mirrors it as a telemetry
-	// event — retry → KindRetry, replan → KindReplan, slowdown/fatal →
-	// KindFault — stamped at the current simulated time.
-	noteFault := func(fr FaultRecord) {
-		t.Faults = append(t.Faults, fr)
-		if !live {
-			return
-		}
-		kind := obs.KindFault
-		switch fr.Action {
-		case "retry":
-			kind = obs.KindRetry
-		case "replan":
-			kind = obs.KindReplan
-		}
-		rec.Event(obs.Event{
-			Kind: kind, TraversalID: id, Root: tr.Source,
-			Engine: plan.Name(), Step: int32(fr.Step), Dir: obs.DirNone,
-			Device: fr.Device, Detail: fr.Action + ": " + fr.Detail,
-			SimStart: t.Total,
-		})
-	}
+	tl := openTimeline(opts.Recorder, opts.TraversalID, tr.Source, t)
+	defer tl.end()
 
 	var devices []archsim.Arch
 	if dl, ok := plan.(DeviceLister); ok {
@@ -243,7 +242,7 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 		if _, crashed := sched.CrashedBy(arch.Name, arch.Kind.String(), s.Step); crashed {
 			surv, ok := survivor(s.Step)
 			if !ok {
-				noteFault(FaultRecord{
+				tl.fault(FaultRecord{
 					Step: s.Step, Kind: fault.DeviceCrash, Device: arch.Name,
 					Action: "fatal", Detail: "no surviving device",
 				})
@@ -255,7 +254,7 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 			if !crashSeen[arch.Name] {
 				crashSeen[arch.Name] = true
 				t.Replans++
-				noteFault(FaultRecord{
+				tl.fault(FaultRecord{
 					Step: s.Step, Kind: fault.DeviceCrash, Device: arch.Name,
 					Action: "replan", Detail: "steps moved to " + surv.Name,
 				})
@@ -274,24 +273,24 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 			migrateFrom = prev.Name
 			base := link.TransferTime(movedBytes)
 			wasted := 0.0
-			backoff := opts.RetryBackoff
+			backoff := fault.RetryBackoff.Seconds()
 			retries := 0
 			migrated := true
 			for sched.LinkDrops() {
-				if retries == opts.MaxRetries {
+				if retries == fault.MaxRetries {
 					migrated = false
 					wasted += base // the final failed attempt
 					break
 				}
 				retries++
 				wasted += base + backoff // failed wire time + wait
-				backoff = math.Min(backoff*2, opts.BackoffCap)
+				backoff = math.Min(backoff*2, fault.BackoffCap.Seconds())
 			}
 			t.Retries += retries
 			switch {
 			case migrated:
 				if retries > 0 {
-					noteFault(FaultRecord{
+					tl.fault(FaultRecord{
 						Step: s.Step, Kind: fault.LinkTransient, Device: arch.Name,
 						Action: "retry", Detail: fmt.Sprintf("transfer succeeded after %d retries", retries),
 					})
@@ -302,7 +301,7 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 				// Retries exhausted: abandon the migration and run the
 				// step where the traversal state already is.
 				t.Replans++
-				noteFault(FaultRecord{
+				tl.fault(FaultRecord{
 					Step: s.Step, Kind: fault.LinkTransient, Device: arch.Name,
 					Action: "replan", Detail: fmt.Sprintf("transfer retries exhausted; staying on %s", prev.Name),
 				})
@@ -312,7 +311,7 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 			default:
 				// Migrating off a dead device over a dead link: the
 				// traversal state is unreachable.
-				noteFault(FaultRecord{
+				tl.fault(FaultRecord{
 					Step: s.Step, Kind: fault.LinkTransient, Device: arch.Name,
 					Action: "fatal", Detail: "transfer retries exhausted and source device is down",
 				})
@@ -326,7 +325,7 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 		if f := sched.SlowdownAt(arch.Name, arch.Kind.String(), s.Step); f > 1 {
 			if !slowSeen[arch.Name] {
 				slowSeen[arch.Name] = true
-				noteFault(FaultRecord{
+				tl.fault(FaultRecord{
 					Step: s.Step, Kind: fault.KernelSlowdown, Device: arch.Name,
 					Action: "slowdown", Detail: fmt.Sprintf("rates derated x%g", f),
 				})
@@ -335,21 +334,21 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 		}
 		st.Kernel = arch.StepTime(dir, s)
 
-		if live {
+		if tl.rec != nil {
 			// Transfer-then-kernel: the state must arrive before the
 			// device can expand the level. An abandoned migration shows
 			// as a handoff whose From equals its target: the wasted wire
 			// time of the failed attempts.
 			if st.Transfer > 0 {
-				rec.Event(obs.Event{
-					Kind: obs.KindHandoff, TraversalID: id, Root: tr.Source,
+				tl.rec.Event(obs.Event{
+					Kind: obs.KindHandoff, TraversalID: tl.id, Root: tr.Source,
 					Engine: plan.Name(), Step: int32(s.Step), Dir: obs.DirNone,
 					From: migrateFrom, Device: st.ArchName, Bytes: movedBytes,
 					SimStart: t.Total, SimDur: st.Transfer,
 				})
 			}
-			rec.Event(obs.Event{
-				Kind: obs.KindSimStep, TraversalID: id, Root: tr.Source,
+			tl.rec.Event(obs.Event{
+				Kind: obs.KindSimStep, TraversalID: tl.id, Root: tr.Source,
 				Engine: plan.Name(), Step: int32(s.Step),
 				Dir:              obs.Direction(dir),
 				Device:           st.ArchName,
@@ -380,7 +379,6 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 // *fault.Error when the modeled execution could not complete, or nil;
 // on any error no result is returned.
 func ExecuteResilient(ctx context.Context, g *graph.CSR, source int32, plan Plan, link archsim.Link, opts ResilientOptions) (*bfs.Result, *bfs.Trace, *Timing, error) {
-	opts = opts.withDefaults()
 	stepper := plan.Begin()
 	policy := bfs.PolicyFunc(func(s bfs.StepInfo) bfs.Direction {
 		return stepper.Place(s).Dir

@@ -1,13 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"crossbfs/internal/archsim"
-	"crossbfs/internal/bfs"
-	"crossbfs/internal/graph"
-	"crossbfs/internal/obs"
 )
 
 // ShardedPlan prices the partitioned engine (bfs.Sharded) on a modeled
@@ -51,83 +47,4 @@ func (p ShardedPlan) Validate() error {
 		return fmt.Errorf("core: sharded thresholds must be positive")
 	}
 	return nil
-}
-
-// SimulateSharded prices one traversal of the sharded engine: tr
-// supplies the per-level work counts, exch the measured per-level
-// exchange volumes (bfs.Result.Exchanges — one entry per step, in step
-// order). Each step charges the slowest shard for 1/Ranks of the work
-// (balanced-partition assumption, as in MultiCross) plus the fabric
-// collective: direction all-reduce + the level's measured exchange.
-func SimulateSharded(tr *bfs.Trace, exch []bfs.ExchangeStats, plan ShardedPlan) (*Timing, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	if len(exch) != len(tr.Steps) {
-		return nil, fmt.Errorf("core: %d exchange records for a %d-step trace (run the sharded engine to collect them)",
-			len(exch), len(tr.Steps))
-	}
-	t := &Timing{
-		Plan:         plan.Name(),
-		Steps:        make([]StepTiming, 0, len(tr.Steps)),
-		EdgesVisited: tr.EdgesVisited,
-	}
-	for i, s := range tr.Steps {
-		ex := exch[i]
-		part := partitionStats(s, plan.Ranks)
-		st := StepTiming{
-			Step:     s.Step,
-			ArchName: plan.Name(),
-			Kind:     plan.Device.Kind,
-			Dir:      ex.Dir,
-			Kernel:   plan.Device.StepTime(ex.Dir, part),
-		}
-		// The collective: every level all-reduces the (|V|cq, |E|cq,
-		// unvisited) triple, then moves the measured exchange payload —
-		// per-rank frontier deltas ring-gathered, ghost claims split
-		// across the all-to-all rounds.
-		perRankDelta := ex.FrontierBytes / int64(plan.Ranks)
-		st.Transfer = plan.Fabric.ExchangeTime(perRankDelta, ex.GhostBytes)
-		t.Steps = append(t.Steps, st)
-		t.Total += st.Kernel + st.Transfer
-		t.Transfers += st.Transfer
-	}
-	return t, nil
-}
-
-// ExecuteSharded runs the partitioned engine for real and prices the
-// same traversal on the plan's modeled machine: the returned Result is
-// the validated parent/level map the ranks produced, the Timing prices
-// its per-level work and measured exchange volumes. The recorder (may
-// be nil) receives the real traversal's events — collectives, per-rank
-// exchanges, ghost updates included.
-func ExecuteSharded(ctx context.Context, g *graph.CSR, source int32, plan ShardedPlan, ws *bfs.Workspace, rec obs.Recorder) (*bfs.Result, *Timing, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, nil, err
-	}
-	eng := bfs.NewShardedEngine(plan.Ranks, plan.M, plan.N)
-	res, err := eng.RunObserved(ctx, g, source, ws, rec)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, nil, ctxErr
-		}
-		return nil, nil, fmt.Errorf("core: executing plan %s: %w", plan.Name(), err)
-	}
-	tr, err := bfs.ComputeTrace(g, res)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: tracing plan %s: %w", plan.Name(), err)
-	}
-	timing, err := SimulateSharded(tr, res.Exchanges, plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The priced directions are the measured ones by construction, but
-	// the step counts must line up with the analytical trace.
-	for i, st := range timing.Steps {
-		if res.Directions[i] != st.Dir {
-			return nil, nil, fmt.Errorf("core: plan %s replay diverged at step %d (%s vs %s)",
-				plan.Name(), i+1, res.Directions[i], st.Dir)
-		}
-	}
-	return res, timing, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"crossbfs/internal/archsim"
 	"crossbfs/internal/bfs"
@@ -14,9 +13,15 @@ import (
 	"crossbfs/internal/obs"
 )
 
-// SimulateShardedResilient prices a sharded traversal under a rank
-// fault schedule, mirroring the degradation the real engine performs
-// (bfs.Sharded with SetFaults):
+// SimulateShardedResilient prices one traversal of the sharded engine:
+// tr supplies the per-level work counts, exch the measured per-level
+// exchange volumes (bfs.Result.Exchanges — one entry per step, in step
+// order). Each step charges the slowest shard for 1/Ranks of the work
+// (balanced-partition assumption, as in MultiCross) plus the fabric
+// collective: direction all-reduce + the level's measured exchange.
+//
+// Under a rank fault schedule it mirrors the degradation the real
+// engine performs (bfs.Sharded with SetFaults):
 //
 //   - a rank crashed by a step is removed from the partition: the
 //     survivors absorb its shard, so the per-step kernel charges the
@@ -28,12 +33,13 @@ import (
 //     collective it joins is priced on the damaged wires;
 //   - an exchange-drop probability inflates every level's exchange by
 //     the expected attempt count under the engine's capped-backoff
-//     retry policy, and adds the expected backoff wait.
+//     retry policy (package fault), and adds the expected backoff wait.
 //
-// With a schedule free of rank faults the result is identical to
-// SimulateSharded. When every rank is dead the partial Timing is
-// returned together with a *fault.Error — the caller's cue to
-// escalate to a non-sharded plan (see ExecuteShardedResilient).
+// When every rank is dead the partial Timing is returned together with
+// a *fault.Error — the caller's cue to escalate to a non-sharded plan
+// (see ExecuteShardedResilient). opts.Recorder receives the plan's
+// bracket on the simulated clock, KindPlanStart and KindPlanEnd, and a
+// retry/replan/fault event per FaultRecord.
 func SimulateShardedResilient(tr *bfs.Trace, exch []bfs.ExchangeStats, plan ShardedPlan, opts ResilientOptions) (*Timing, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -43,70 +49,28 @@ func SimulateShardedResilient(tr *bfs.Trace, exch []bfs.ExchangeStats, plan Shar
 		return nil, fmt.Errorf("core: %d exchange records for a %d-step trace (run the sharded engine to collect them)",
 			len(exch), len(tr.Steps))
 	}
-	opts = opts.withDefaults()
 	sched := opts.Schedule
 	t := &Timing{
 		Plan:         plan.Name(),
 		Steps:        make([]StepTiming, 0, len(tr.Steps)),
 		EdgesVisited: tr.EdgesVisited,
 	}
+	tl := openTimeline(opts.Recorder, opts.TraversalID, tr.Source, t)
+	defer tl.end()
 
-	rec := opts.Recorder
-	live := obs.Live(rec)
-	var id uint64
-	if live {
-		if id = opts.TraversalID; id == 0 {
-			id = obs.NextTraversalID()
-		}
-		rec.Event(obs.Event{
-			Kind: obs.KindPlanStart, TraversalID: id, Root: tr.Source,
-			Engine: plan.Name(), Dir: obs.DirNone,
-		})
-		// Deferred closer: the all-ranks-dead rung returns early with
-		// a *fault.Error, and the timeline must close there too.
-		defer func() {
-			rec.Event(obs.Event{
-				Kind: obs.KindPlanEnd, TraversalID: id, Root: tr.Source,
-				Engine: plan.Name(), Dir: obs.DirNone,
-				SimStart: t.Total, SimDur: t.Total,
-			})
-		}()
-	}
-	noteFault := func(fr FaultRecord) {
-		t.Faults = append(t.Faults, fr)
-		if !live {
-			return
-		}
-		kind := obs.KindFault
-		switch fr.Action {
-		case "retry":
-			kind = obs.KindRetry
-		case "recover", "replan":
-			kind = obs.KindReplan
-		}
-		rec.Event(obs.Event{
-			Kind: kind, TraversalID: id, Root: tr.Source,
-			Engine: plan.Name(), Step: int32(fr.Step), Dir: obs.DirNone,
-			Device: fr.Device, Detail: fr.Action + ": " + fr.Detail,
-			SimStart: t.Total,
-		})
-	}
-
-	// The engine retries a dropped exchange up to MaxRetries times with
-	// capped exponential backoff, so under drop probability p one
-	// collective costs an expected sum(p^k) attempts on the wire plus
-	// the expected backoff wait — both charged per level below.
+	// The engine retries a dropped exchange up to fault.MaxRetries
+	// times with capped exponential backoff, so under drop probability
+	// p one collective costs an expected sum(p^k) attempts on the wire
+	// plus the expected backoff wait — both charged per level below.
 	dropP := sched.ExchangeDropProb()
 	attemptMult, backoffWait := 1.0, 0.0
 	if dropP > 0 {
-		backoff := opts.RetryBackoff
-		for k := 1; k <= opts.MaxRetries; k++ {
+		backoff := fault.RetryBackoff.Seconds()
+		for k := 1; k <= fault.MaxRetries; k++ {
 			pk := math.Pow(dropP, float64(k))
 			attemptMult += pk
 			backoffWait += pk * backoff
-			if backoff *= 2; backoff > opts.BackoffCap {
-				backoff = opts.BackoffCap
-			}
+			backoff = math.Min(backoff*2, fault.BackoffCap.Seconds())
 		}
 	}
 	var expectedRetries float64
@@ -129,7 +93,7 @@ func SimulateShardedResilient(tr *bfs.Trace, exch []bfs.ExchangeStats, plan Shar
 				liveRanks--
 				deaths = append(deaths, r)
 				t.Replans++
-				noteFault(FaultRecord{
+				tl.fault(FaultRecord{
 					Step: step, Kind: fault.RankCrash,
 					Device: fmt.Sprintf("rank%d", r), Action: "recover",
 					Detail: fmt.Sprintf("injected %s; %d survivors replay level %d", ev, liveRanks, step),
@@ -138,7 +102,7 @@ func SimulateShardedResilient(tr *bfs.Trace, exch []bfs.ExchangeStats, plan Shar
 		}
 		if liveRanks == 0 {
 			last := deaths[len(deaths)-1]
-			noteFault(FaultRecord{
+			tl.fault(FaultRecord{
 				Step: step, Kind: fault.RankCrash,
 				Device: fmt.Sprintf("rank%d", last), Action: "fatal",
 				Detail: "no surviving rank",
@@ -173,7 +137,7 @@ func SimulateShardedResilient(tr *bfs.Trace, exch []bfs.ExchangeStats, plan Shar
 			Kernel:   plan.Device.StepTime(ex.Dir, part) * lagMax,
 		}
 		if lagMax > 1 {
-			noteFault(FaultRecord{
+			tl.fault(FaultRecord{
 				Step: step, Kind: fault.RankLag, Device: plan.Name(),
 				Action: "slowdown",
 				Detail: fmt.Sprintf("collective stretched %.3gx by lagging rank", lagMax),
@@ -195,7 +159,7 @@ func SimulateShardedResilient(tr *bfs.Trace, exch []bfs.ExchangeStats, plan Shar
 	}
 	if expectedRetries > 0 {
 		t.Retries += int(math.Ceil(expectedRetries))
-		noteFault(FaultRecord{
+		tl.fault(FaultRecord{
 			Step: 1, Kind: fault.ExchangeDrop, Device: "fabric",
 			Action: "retry",
 			Detail: fmt.Sprintf("drop p=%.3g: expected %.2f re-attempts across %d levels", dropP, expectedRetries, len(tr.Steps)),
@@ -204,22 +168,28 @@ func SimulateShardedResilient(tr *bfs.Trace, exch []bfs.ExchangeStats, plan Shar
 	return t, nil
 }
 
-// ExecuteShardedResilient is ExecuteSharded under a fault schedule:
-// the partitioned engine runs for real with rank faults injected at
-// its exchange seams (crash, lag, dropped collectives), survivors
-// recover from per-level checkpoints, and the priced replay mirrors
-// the degradation (SimulateShardedResilient). When the engine itself
-// gives up — every rank dead, or an unrecoverable stall — the
-// traversal escalates one more rung: it replans onto a single
-// un-sharded device (the plan's Device) via ExecuteResilient, the
-// same ladder the paper's cross-architecture executor ends on. The
-// error is ctx.Err() verbatim on cancellation, a *fault.Error when
-// even the escalation could not complete, or nil.
+// ExecuteShardedResilient runs the partitioned engine for real and
+// prices the same traversal on the plan's modeled machine: the
+// returned Result is the validated parent/level map the ranks
+// produced, the Timing prices its per-level work and measured exchange
+// volumes (SimulateShardedResilient). opts.Recorder (may be nil)
+// receives the real traversal's events — collectives, per-rank
+// exchanges, ghost updates included — and the priced plan's bracket.
+//
+// With no schedule this is the clean run. A fault schedule injects
+// rank faults at the engine's exchange seams (crash, lag, dropped
+// collectives), survivors recover from per-level checkpoints, and the
+// priced replay mirrors the degradation. When the engine itself gives
+// up — every rank dead, or an unrecoverable stall — the traversal
+// escalates one more rung: it replans onto a single un-sharded device
+// (the plan's Device) via ExecuteResilient, the same ladder the
+// paper's cross-architecture executor ends on. The error is ctx.Err()
+// verbatim on cancellation, a *fault.Error when even the escalation
+// could not complete, or nil.
 func ExecuteShardedResilient(ctx context.Context, g *graph.CSR, source int32, plan ShardedPlan, ws *bfs.Workspace, opts ResilientOptions) (*bfs.Result, *Timing, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, nil, err
 	}
-	opts = opts.withDefaults()
 	runRec := opts.Recorder
 	if obs.Live(opts.Recorder) {
 		// One TraversalID spans the real run, the priced mirror, and a
@@ -233,11 +203,6 @@ func ExecuteShardedResilient(ctx context.Context, g *graph.CSR, source int32, pl
 
 	eng := bfs.NewShardedEngine(plan.Ranks, plan.M, plan.N)
 	eng.SetFaults(opts.Schedule)
-	eng.SetFTOptions(bfs.FTOptions{
-		MaxRetries:   opts.MaxRetries,
-		RetryBackoff: time.Duration(opts.RetryBackoff * float64(time.Second)),
-		BackoffCap:   time.Duration(opts.BackoffCap * float64(time.Second)),
-	})
 	res, err := eng.RunObserved(ctx, g, source, ws, runRec)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {

@@ -79,7 +79,7 @@ func Recovery(ctx context.Context, cfg Config, spec string, seed uint64) ([]Reco
 			M:      bfs.DefaultM,
 			N:      bfs.DefaultN,
 		}
-		_, clean, err := core.ExecuteSharded(ctx, g, src, plan, ws, nil)
+		_, clean, err := core.ExecuteShardedResilient(ctx, g, src, plan, ws, core.ResilientOptions{})
 		if err != nil {
 			return rows, err
 		}

@@ -56,7 +56,7 @@ func ShardedCrossover(cfg Config, rankCounts []int, fabrics []func(int) *archsim
 				M:      bfs.DefaultM,
 				N:      bfs.DefaultN,
 			}
-			res, timing, err := core.ExecuteSharded(context.Background(), g, src, plan, ws, nil)
+			res, timing, err := core.ExecuteShardedResilient(context.Background(), g, src, plan, ws, core.ResilientOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("exp: sharded sweep at %d ranks: %w", ranks, err)
 			}

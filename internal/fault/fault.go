@@ -30,6 +30,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"crossbfs/internal/xrand"
 )
@@ -61,6 +62,17 @@ const (
 	// (seed, rank, step, attempt), so concurrent ranks replay the
 	// same drop pattern without sharing an RNG stream.
 	ExchangeDrop
+)
+
+// The retry policy for a dropped transfer (LinkTransient) or exchange
+// (ExchangeDrop): up to MaxRetries re-attempts, the first after
+// RetryBackoff, each wait doubling up to BackoffCap. The sharded
+// engine sleeps it and the simulator ladder in internal/core prices
+// it, so both read it from here.
+const (
+	MaxRetries   = 3
+	RetryBackoff = 50 * time.Microsecond
+	BackoffCap   = 5 * time.Millisecond
 )
 
 func (k Kind) String() string {

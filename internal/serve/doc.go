@@ -21,9 +21,8 @@
 //     returned when the response is encoded, so steady-state queries
 //     allocate no per-traversal buffers;
 //   - the full-traversal engine is chosen per graph by a small planner
-//     (serial for tiny graphs, the direction-optimizing hybrid by
-//     default, the sharded engine for large graphs when the server is
-//     configured with ranks), mirroring how bfsrun picks kernels;
+//     (serial for tiny graphs, the direction-optimizing hybrid
+//     otherwise);
 //   - every traversal and point search reports into internal/obs: an
 //     always-on obs.RegistryRecorder per engine (point searches under
 //     bfs.PointQueryEngine), and a 1-in-K sampled flight

@@ -25,14 +25,10 @@ const (
 	DefaultIncidentCPUProfile = time.Second
 )
 
-// Planner cutoffs: graphs below serialCutoff vertices run the serial
-// kernel (parallel dispatch overhead dominates at that size — the same
-// boundary the tuner's corpus shows), graphs at or above shardCutoff
-// run the partitioned engine when the server is configured with ranks.
-const (
-	serialCutoff = 1 << 12
-	shardCutoff  = 1 << 16
-)
+// serialCutoff is the planner's one cutoff: graphs below it run the
+// serial kernel (parallel dispatch overhead dominates at that size —
+// the same boundary the tuner's corpus shows).
+const serialCutoff = 1 << 12
 
 // Config tunes a Server. The zero value is serviceable: GOMAXPROCS
 // execution slots, a 64-deep wait queue, a 2s default / 30s maximum
@@ -51,10 +47,6 @@ type Config struct {
 	// MaxDeadline caps what a query may ask for.
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
-	// Shards, when > 1, lets the planner pick the partitioned engine
-	// (that many goroutine ranks) for graphs of shardCutoff vertices
-	// or more.
-	Shards int
 	// SampleK keeps 1-in-K traversals (whole) in the flight recorder;
 	// 1 keeps every traversal, 0 selects DefaultSampleK. Metrics are
 	// never sampled.
@@ -101,8 +93,8 @@ type GraphInfo struct {
 	Name     string `json:"name"`
 	Vertices int    `json:"vertices"`
 	Edges    int64  `json:"edges"`
-	// Engine is the kernel the planner chose for this graph, e.g.
-	// "hybrid(64,64)" or "sharded(4,hybrid(64,64))".
+	// Engine is the kernel the planner chose for this graph: "serial"
+	// or "hybrid(64,64)".
 	Engine string `json:"engine"`
 	// Origin records where the graph came from: an R-MAT spec or a
 	// file path.
@@ -231,11 +223,7 @@ func (s *Server) AddGraph(name, origin string, g *graph.CSR) error {
 	if g == nil || g.NumVertices() == 0 {
 		return badRequest(fmt.Sprintf("graph %q is empty", name))
 	}
-	e, ranks := s.planEngine(g)
-	rr := obs.NewRegistryRecorder(s.registry, e.Name())
-	if ranks > 1 {
-		rr = rr.WithRanks(ranks)
-	}
+	e := planEngine(g)
 	sg := &servedGraph{
 		info: GraphInfo{
 			Name:     name,
@@ -246,7 +234,7 @@ func (s *Server) AddGraph(name, origin string, g *graph.CSR) error {
 		},
 		g:        g,
 		engine:   e,
-		rec:      obs.Multi(s.sampler, rr),
+		rec:      obs.Multi(s.sampler, obs.NewRegistryRecorder(s.registry, e.Name())),
 		pointRec: obs.Multi(s.sampler, obs.NewRegistryRecorder(s.registry, bfs.PointQueryEngine)),
 	}
 	qf := s.registry.Counter("crossbfs_graph_queries_total",
@@ -263,24 +251,15 @@ func (s *Server) AddGraph(name, origin string, g *graph.CSR) error {
 	return nil
 }
 
-// planEngine is the per-graph kernel planner, mirroring how bfsrun
-// sizes kernels to graphs: the serial reference below serialCutoff
-// vertices (parallel dispatch costs more than it buys there), the
-// partitioned engine at shardCutoff and above when the server is
-// configured with ranks, and the direction-optimizing hybrid at the
-// repo-wide default (M, N) everywhere else.
-// It also reports the rank count (1 for unsharded engines) so the
-// graph's labeled recorder can intern per-rank exchange cells.
-func (s *Server) planEngine(g *graph.CSR) (bfs.Engine, int) {
-	n := g.NumVertices()
-	switch {
-	case n < serialCutoff:
-		return bfs.SerialEngine(), 1
-	case s.cfg.Shards > 1 && n >= shardCutoff:
-		return bfs.NewShardedEngine(s.cfg.Shards, bfs.DefaultM, bfs.DefaultN), s.cfg.Shards
-	default:
-		return bfs.DefaultEngine(), 1
+// planEngine is the per-graph kernel planner: the serial reference
+// below serialCutoff vertices (parallel dispatch costs more than it
+// buys there), and the direction-optimizing hybrid at the repo-wide
+// default (M, N) everywhere else.
+func planEngine(g *graph.CSR) bfs.Engine {
+	if g.NumVertices() < serialCutoff {
+		return bfs.SerialEngine()
 	}
+	return bfs.DefaultEngine()
 }
 
 // lookup resolves a query's graph: the named graph, or the sole

@@ -396,46 +396,37 @@ func TestAddGraphRejects(t *testing.T) {
 	}
 }
 
-func planName(s *Server, g *graph.CSR) string {
-	e, _ := s.planEngine(g)
-	return e.Name()
-}
+func planName(g *graph.CSR) string { return planEngine(g).Name() }
 
 func TestPlanEngineCutoffs(t *testing.T) {
-	small := NewServer(Config{})
-	if name := planName(small, pathGraph(t, 100)); name != "serial" {
+	if name := planName(pathGraph(t, 100)); name != "serial" {
 		t.Errorf("small graph planned %q, want serial", name)
 	}
 	big := mustRMAT(t, 11, 4, 1) // 2048 vertices: still below serialCutoff
-	if name := planName(small, big); name != "serial" {
+	if name := planName(big); name != "serial" {
 		t.Errorf("scale-11 planned %q, want serial", name)
 	}
 	mid := mustRMAT(t, 13, 4, 1) // 8192: hybrid territory
-	if name := planName(small, mid); name == "serial" {
+	if name := planName(mid); name == "serial" {
 		t.Errorf("scale-13 planned serial, want a parallel kernel")
 	}
-	sharded := NewServer(Config{Shards: 4})
 	huge := mustRMAT(t, 16, 4, 1)
-	if name := planName(sharded, huge); name != "sharded(4,hybrid(64,64))" {
-		t.Errorf("scale-16 with shards planned %q, want the sharded engine", name)
-	}
-	// Shards configured but graph below the cutoff: stay unsharded.
-	if name := planName(sharded, mid); name == "sharded(4,hybrid(64,64))" {
-		t.Errorf("scale-13 with shards planned the sharded engine; cutoff ignored")
+	if name := planName(huge); name != "hybrid(64,64)" {
+		t.Errorf("scale-16 planned %q, want hybrid(64,64)", name)
 	}
 }
 
-// TestQueryEngineSplit pins which kernel answers each kind on a graph
-// planned for the sharded engine: reach and path run the point search
-// and report "bidirectional", khop and multi run the planned engine,
-// and the point answers still match the serial reference.
+// TestQueryEngineSplit pins which kernel answers each kind: reach and
+// path run the point search and report "bidirectional", khop and
+// multi run the planned engine, and the point answers still match the
+// serial reference.
 func TestQueryEngineSplit(t *testing.T) {
-	g := mustRMAT(t, 16, 4, 1) // at shardCutoff: sharded when configured
-	s := newTestServer(t, Config{Shards: 2}, g)
+	g := mustRMAT(t, 16, 4, 1)
+	s := newTestServer(t, Config{}, g)
 	defer s.Close()
 	planned := s.Graphs()[0].Engine
-	if planned != "sharded(2,hybrid(64,64))" {
-		t.Fatalf("planned engine %q, want the sharded engine", planned)
+	if planned != "hybrid(64,64)" {
+		t.Fatalf("planned engine %q, want hybrid(64,64)", planned)
 	}
 	src := firstSource(t, g)
 	ref, err := bfs.SerialEngine().Run(g, src, nil)
