@@ -12,11 +12,12 @@
 //
 //	-dir string        directory holding BENCH_<n>.json snapshots (default ".")
 //	-pkgs string       comma-separated packages to benchmark (default
-//	                   "./internal/bfs,./internal/rmat,./internal/graph")
+//	                   "./internal/bfs,./internal/rmat,./internal/graph,./internal/tuner")
 //	-bench string      benchmark regex handed to go test (default covers the
 //	                   kernel, RunMany, point-query and recorder-overhead
-//	                   benches, and Graph 500 kernel 1: Edges, Generate
-//	                   and Build)
+//	                   benches, Graph 500 kernel 1: Edges, Generate and
+//	                   Build, and the plan pricer through the tuner's
+//	                   Evaluate1000 and LabelBest)
 //	-benchtime string  go test -benchtime value (default "1x"); go test
 //	                   runs each benchmark once (-count 1)
 //	-threshold float   relative regression tolerance (default 0.35 = 35%)
@@ -419,14 +420,14 @@ var runBenches = func(pkgs []string, benchRe, benchtime string, verbose io.Write
 	return string(out), nil
 }
 
-const defaultBench = "RunManyRecorderOverhead|KernelScales|ShardedScales|RunNopRecorder|RunLiveRecorder|RunReuseWorkspace|RunMany64Roots|PointQuery|Hybrid$|TopDownParallel|BottomUp$|Serial$|Edges$|Generate$|Build$"
+const defaultBench = "RunManyRecorderOverhead|KernelScales|ShardedScales|RunNopRecorder|RunLiveRecorder|RunReuseWorkspace|RunMany64Roots|PointQuery|Hybrid$|TopDownParallel|BottomUp$|Serial$|Edges$|Generate$|Build$|Evaluate1000|LabelBest"
 
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		dir       = fs.String("dir", ".", "directory holding BENCH_<n>.json snapshots")
-		pkgs      = fs.String("pkgs", "./internal/bfs,./internal/rmat,./internal/graph", "comma-separated packages to benchmark")
+		pkgs      = fs.String("pkgs", "./internal/bfs,./internal/rmat,./internal/graph,./internal/tuner", "comma-separated packages to benchmark")
 		benchRe   = fs.String("bench", defaultBench, "benchmark regex for go test -bench")
 		benchtime = fs.String("benchtime", "1x", "go test -benchtime value")
 		threshold = fs.Float64("threshold", 0.35, "relative regression tolerance")

@@ -16,7 +16,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -72,10 +71,11 @@ func run(scale, edgeFactor int, seed uint64, numRoots int, mode, planName string
 		ConstructionTime: construction,
 	}
 
-	times := make([]float64, len(roots))
-	teps := make([]float64, len(roots))
+	var times, teps []float64
 	switch mode {
 	case "real":
+		times = make([]float64, len(roots))
+		teps = make([]float64, len(roots))
 		// One workspace serves the whole key sweep so measured wall
 		// times reflect kernel work, not allocator churn between roots.
 		ws := bfs.NewWorkspace(g.NumVertices())
@@ -95,24 +95,13 @@ func run(scale, edgeFactor int, seed uint64, numRoots int, mode, planName string
 		if err != nil {
 			return err
 		}
-		link := archsim.PCIe()
-		err = bfs.RunMany(context.Background(), g, roots, bfs.ManyOptions{Engine: bfs.SerialEngine()},
-			func(i int, root int32, res *bfs.Result) error {
-				if err := bfs.Validate(g, res); err != nil {
-					return fmt.Errorf("root %d failed validation: %w", root, err)
-				}
-				tr, err := bfs.ComputeTrace(g, res)
-				if err != nil {
-					return err
-				}
-				timing := core.Simulate(tr, plan, link)
-				times[i] = timing.Total //lint:shared-ok RunMany delivers each index to exactly one callback
-				teps[i] = timing.TEPS() //lint:shared-ok RunMany delivers each index to exactly one callback
-				return nil
-			})
+		// graph500.Run samples the same roots and validates and
+		// invariant-checks each traversal before it prices it.
+		res, err := graph500.Run(g, plan, archsim.PCIe(), numRoots, seed)
 		if err != nil {
 			return err
 		}
+		times, teps = res.Times, res.TEPS
 	default:
 		return fmt.Errorf("unknown mode %q (want real or sim)", mode)
 	}

@@ -244,7 +244,7 @@ func (a Arch) Label() string {
 
 // Utilization returns the fraction of peak throughput available with
 // `items` independent work units.
-func (a Arch) Utilization(items int64) float64 {
+func (a *Arch) Utilization(items int64) float64 {
 	if items <= 0 {
 		return 0
 	}
@@ -321,7 +321,7 @@ func (a Arch) StepTime(dir bfs.Direction, s bfs.LevelStats) float64 {
 // and divergence. Throughput is floored at items*ThreadRate — p
 // resident threads never run slower than p serial walkers — which is
 // what keeps tiny-frontier kernels latency-bound instead of absurd.
-func (a Arch) workTime(bytes, entries, rate float64, items int64, derate float64) float64 {
+func (a *Arch) workTime(bytes, entries, rate float64, items int64, derate float64) float64 {
 	if items <= 0 {
 		return 0 // no work items, no work
 	}

@@ -46,7 +46,8 @@ func fuzzSetup() {
 // ANY parseable fault schedule, the resilient executor must never
 // panic, never produce a wrong traversal, and either complete or
 // return a typed *fault.Error. Faults degrade pricing and placement —
-// never correctness.
+// never correctness. A completed run prices every step on the plan
+// device it names, derated once by the step's slowdown.
 func FuzzFaultSchedule(f *testing.F) {
 	f.Add("", uint64(0))
 	f.Add("crash:GPU@4", uint64(1))
@@ -63,6 +64,7 @@ func FuzzFaultSchedule(f *testing.F) {
 	f.Add("exchdrop:0.4", uint64(12))
 	f.Add("exchdrop:1", uint64(13))
 	f.Add("rankcrash:1@2;ranklag:0x2;exchdrop:0.1;crash:GPU@4", uint64(14))
+	f.Add("slow:CPUx4;transient:1", uint64(15))
 
 	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
 		sched, err := fault.Parse(spec, seed)
@@ -77,7 +79,7 @@ func FuzzFaultSchedule(f *testing.F) {
 			Host: archsim.SandyBridge(), Coprocessor: archsim.KeplerK20x(),
 			M1: 64, N1: 64, M2: 64, N2: 64,
 		}
-		res, _, timing, err := ExecuteResilient(context.Background(), fuzzG, fuzzSrc, plan, archsim.PCIe(),
+		res, tr, timing, err := ExecuteResilient(context.Background(), fuzzG, fuzzSrc, plan, archsim.PCIe(),
 			ResilientOptions{Schedule: sched, Workers: 1})
 		if err != nil {
 			var fe *fault.Error
@@ -97,6 +99,21 @@ func FuzzFaultSchedule(f *testing.F) {
 		}
 		if math.IsNaN(timing.Total) || math.IsInf(timing.Total, 0) || timing.Total < 0 {
 			t.Fatalf("spec %q: timing total = %g", spec, timing.Total)
+		}
+		for i, st := range timing.Steps {
+			var dev archsim.Arch
+			for _, d := range plan.Devices() {
+				if d.Name == st.ArchName {
+					dev = d
+				}
+			}
+			if dev.Name == "" {
+				t.Fatalf("spec %q: step %d priced on %q, not a plan device", spec, st.Step, st.ArchName)
+			}
+			want := dev.Slowed(sched.SlowdownAt(dev.Name, dev.Kind.String(), st.Step)).StepTime(st.Dir, tr.Steps[i])
+			if st.Kernel != want {
+				t.Fatalf("spec %q: step %d on %s costs %g, want %g (derated once)", spec, st.Step, dev.Name, st.Kernel, want)
+			}
 		}
 
 		// The sharded executor must honor the same contract under the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"crossbfs/internal/archsim"
 	"crossbfs/internal/bfs"
@@ -48,11 +49,6 @@ func (p MultiCross) Validate() error {
 	return nil
 }
 
-// Devices implements DeviceLister.
-func (p MultiCross) Devices() []archsim.Arch {
-	return append([]archsim.Arch{p.Host}, p.Coprocessors...)
-}
-
 // partitionStats scales one level's work counts to a 1/k vertex
 // partition under the balanced-partition assumption.
 func partitionStats(s bfs.LevelStats, k int) bfs.LevelStats {
@@ -72,70 +68,41 @@ func partitionStats(s bfs.LevelStats, k int) bfs.LevelStats {
 	return out
 }
 
-// SimulateMulti prices the multi-coprocessor plan against a trace.
+// SimulateMulti prices the multi-coprocessor plan against a trace. It
+// takes the clean timeline of the one-coprocessor CrossPlan — the same
+// placements, so one coprocessor prices exactly like CrossPlan — and
+// rewrites what k devices change: the one handoff becomes a k-way
+// broadcast of the traversal state, and each bottom-up level takes as
+// long as the slowest partition plus the frontier all-reduce. Small
+// top-down frontiers stay on the first coprocessor: splitting
+// launch-bound work only multiplies overheads.
 func SimulateMulti(tr *bfs.Trace, plan MultiCross, link archsim.Link) (*Timing, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
 	k := len(plan.Coprocessors)
-	t := &Timing{
-		Plan:         plan.Name(),
-		Steps:        make([]StepTiming, 0, len(tr.Steps)),
-		EdgesVisited: tr.EdgesVisited,
-	}
+	t := Simulate(tr, CrossPlan{
+		Host: plan.Host, Coprocessor: plan.Coprocessors[0],
+		M1: plan.M1, N1: plan.N1, M2: plan.M2, N2: plan.N2,
+	}, link)
+	t.Plan = plan.Name()
+	t.Total, t.Transfers = 0, 0
 	bitmapBytes := (tr.NumVertices + 7) / 8
-	entered := false
-	discoveredSinceHost := int64(1)
 
-	small := func(s bfs.LevelStats, m, n float64) bool {
-		return float64(s.FrontierEdges) < float64(tr.NumEdges)/m &&
-			float64(s.FrontierVertices) < float64(tr.NumVertices)/n
-	}
-
-	for _, s := range tr.Steps {
-		var st StepTiming
-		st.Step = s.Step
-		switch {
-		case !entered && small(s, plan.M1, plan.N1):
-			st.ArchName = plan.Host.Name
-			st.Kind = plan.Host.Kind
-			st.Dir = bfs.TopDown
-			st.Kernel = plan.Host.TopDownTime(s)
-			discoveredSinceHost += s.Discovered
-		default:
-			if !entered {
-				// Broadcast the traversal state to every coprocessor.
-				st.Transfer = float64(k) * link.TransferTime(2*bitmapBytes+8*discoveredSinceHost)
-				entered = true
+	for i := range t.Steps {
+		st := &t.Steps[i]
+		st.Transfer *= float64(k) // nonzero only at the handoff
+		if st.Dir == bfs.BottomUp {
+			part := partitionStats(tr.Steps[i], k)
+			st.Kernel = 0
+			for _, cop := range plan.Coprocessors {
+				st.Kernel = math.Max(st.Kernel, cop.BottomUpTime(part))
 			}
-			if small(s, plan.M2, plan.N2) {
-				// Small frontiers stay on one coprocessor: splitting
-				// launch-bound work only multiplies overheads.
-				cop := plan.Coprocessors[0]
-				st.ArchName = cop.Name
-				st.Kind = cop.Kind
-				st.Dir = bfs.TopDown
-				st.Kernel = cop.TopDownTime(s)
-			} else {
-				// Partitioned bottom-up: the level takes as long as
-				// the slowest device plus the frontier all-reduce.
-				part := partitionStats(s, k)
-				var worst float64
-				for _, cop := range plan.Coprocessors {
-					if tt := cop.BottomUpTime(part); tt > worst {
-						worst = tt
-					}
-				}
-				st.ArchName = plan.Name()
-				st.Kind = plan.Coprocessors[0].Kind
-				st.Dir = bfs.BottomUp
-				st.Kernel = worst
-				if k > 1 {
-					st.Transfer += link.TransferTime(2 * bitmapBytes * int64(k-1) / int64(k))
-				}
+			st.ArchName = t.Plan
+			if k > 1 {
+				st.Transfer += link.TransferTime(2 * bitmapBytes * int64(k-1) / int64(k))
 			}
 		}
-		t.Steps = append(t.Steps, st)
 		t.Total += st.Kernel + st.Transfer
 		t.Transfers += st.Transfer
 	}

@@ -49,20 +49,28 @@ func TestPartitionStats(t *testing.T) {
 
 func TestSimulateMultiSingleMatchesCross(t *testing.T) {
 	// With one coprocessor, the multi plan must price exactly like
-	// CrossPlan (same decisions, same costs).
-	tr := testTrace(t, 12, 16, 1)
+	// CrossPlan (same decisions, same costs), also when level 1
+	// already goes to the coprocessor and no handoff is paid.
 	cpu, gpu := archsim.SandyBridge(), archsim.KeplerK20x()
 	link := archsim.PCIe()
-	multi, err := SimulateMulti(tr, MultiCross{
-		Host: cpu, Coprocessors: []archsim.Arch{gpu},
-		M1: 64, N1: 64, M2: 64, N2: 64,
-	}, link)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := Simulate(tr, CrossPlan{Host: cpu, Coprocessor: gpu, M1: 64, N1: 64, M2: 64, N2: 64}, link)
-	if diff := multi.Total - single.Total; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("1-coprocessor multi %g != cross %g", multi.Total, single.Total)
+	for _, c := range []struct {
+		tr             *bfs.Trace
+		m1, n1, m2, n2 float64
+	}{
+		{testTrace(t, 12, 16, 1), 64, 64, 64, 64},
+		{testTrace(t, 10, 8, 7), 1000, 1000, 64, 64},
+	} {
+		multi, err := SimulateMulti(c.tr, MultiCross{
+			Host: cpu, Coprocessors: []archsim.Arch{gpu},
+			M1: c.m1, N1: c.n1, M2: c.m2, N2: c.n2,
+		}, link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single := Simulate(c.tr, CrossPlan{Host: cpu, Coprocessor: gpu, M1: c.m1, N1: c.n1, M2: c.m2, N2: c.n2}, link)
+		if diff := multi.Total - single.Total; diff > 1e-12 || diff < -1e-12 {
+			t.Errorf("(%g,%g,%g,%g): 1-coprocessor multi %g != cross %g", c.m1, c.n1, c.m2, c.n2, multi.Total, single.Total)
+		}
 	}
 }
 

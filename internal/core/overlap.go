@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"crossbfs/internal/archsim"
 	"crossbfs/internal/bfs"
 )
@@ -17,60 +19,32 @@ import (
 // bytes overlap with subsequent kernel time and only surface as a
 // stall if a level finishes before the stream drains. This quantifies
 // how much of the naive Simulate's transfer penalty a smarter runtime
-// could hide (BenchmarkAblationLazyTransfers).
+// could hide (BenchmarkAblationLazyTransfers). It re-prices only the
+// handoffs of Simulate's clean timeline.
 func SimulateLazy(tr *bfs.Trace, plan Plan, link archsim.Link) *Timing {
-	stepper := plan.Begin()
-	t := &Timing{
-		Plan:         plan.Name() + "+lazy",
-		Steps:        make([]StepTiming, 0, len(tr.Steps)),
-		EdgesVisited: tr.EdgesVisited,
-	}
+	t := Simulate(tr, plan, link)
+	t.Plan += "+lazy"
+	t.Total, t.Transfers = 0, 0
 
-	prevArch := ""
 	discoveredSinceSwitch := int64(1)
 	bitmapBytes := (tr.NumVertices + 7) / 8
 	pendingAsync := 0.0 // seconds of background streaming still in flight
 
-	for _, s := range tr.Steps {
-		info := bfs.StepInfo{
-			Step:              s.Step,
-			FrontierVertices:  s.FrontierVertices,
-			FrontierEdges:     s.FrontierEdges,
-			UnvisitedVertices: s.UnvisitedVertices,
-			TotalVertices:     tr.NumVertices,
-			TotalEdges:        tr.NumEdges,
-		}
-		pl := stepper.Place(info)
-
-		st := StepTiming{
-			Step:     s.Step,
-			ArchName: pl.Arch.Name,
-			Kind:     pl.Arch.Kind,
-			Dir:      pl.Dir,
-			Kernel:   pl.Arch.StepTime(pl.Dir, s),
-		}
-		if prevArch != "" && prevArch != pl.Arch.Name {
+	for i := range t.Steps {
+		st := &t.Steps[i]
+		if i > 0 && t.Steps[i-1].ArchName != st.ArchName {
 			// The in-flight stream must drain before a new transfer
-			// can start on the same link.
-			st.Transfer = pendingAsync
-			pendingAsync = 0
-			// Blocking: bitmaps. Async: predecessor entries.
-			st.Transfer += link.TransferTime(2 * bitmapBytes)
+			// can start on the same link. Blocking: bitmaps. Async:
+			// predecessor entries.
+			st.Transfer = pendingAsync + link.TransferTime(2*bitmapBytes)
 			pendingAsync = link.TransferTime(8 * discoveredSinceSwitch)
 			discoveredSinceSwitch = 0
 		}
-		prevArch = pl.Arch.Name
-		discoveredSinceSwitch += s.Discovered
+		discoveredSinceSwitch += tr.Steps[i].Discovered
 
 		// Background streaming drains while the kernel runs.
-		if pendingAsync > 0 {
-			pendingAsync -= st.Kernel
-			if pendingAsync < 0 {
-				pendingAsync = 0
-			}
-		}
+		pendingAsync = math.Max(pendingAsync-st.Kernel, 0)
 
-		t.Steps = append(t.Steps, st)
 		t.Total += st.Kernel + st.Transfer
 		t.Transfers += st.Transfer
 	}

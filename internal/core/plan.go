@@ -31,6 +31,10 @@ type Plan interface {
 	Name() string
 	// Begin starts one traversal's decision state.
 	Begin() Stepper
+	// Devices lists every device the plan may place a step on, in
+	// plan order: the replan candidate set SimulateResilient picks a
+	// survivor from when a placed device has crashed.
+	Devices() []archsim.Arch
 }
 
 // Stepper makes the per-step decision for one traversal.
@@ -60,7 +64,7 @@ func (p SinglePlan) Place(s bfs.StepInfo) Placement {
 	return Placement{Arch: p.Arch, Dir: p.Policy.Choose(s)}
 }
 
-// Devices implements DeviceLister.
+// Devices implements Plan.
 func (p SinglePlan) Devices() []archsim.Arch { return []archsim.Arch{p.Arch} }
 
 // FixedDirection returns the pure single-direction baseline on arch
@@ -106,7 +110,7 @@ func (p PolicyPlan) Begin() Stepper {
 	return policyStepper{arch: p.Arch, policy: p.NewPolicy()}
 }
 
-// Devices implements DeviceLister.
+// Devices implements Plan.
 func (p PolicyPlan) Devices() []archsim.Arch { return []archsim.Arch{p.Arch} }
 
 type policyStepper struct {
@@ -151,7 +155,7 @@ func (p TwoArchPlan) Validate() error {
 // own stepper.
 func (p TwoArchPlan) Begin() Stepper { return p }
 
-// Devices implements DeviceLister.
+// Devices implements Plan.
 func (p TwoArchPlan) Devices() []archsim.Arch {
 	if p.TDArch.Name == p.BUArch.Name {
 		return []archsim.Arch{p.TDArch}
@@ -198,7 +202,7 @@ func (p CrossPlan) Validate() error {
 // Begin implements Plan.
 func (p CrossPlan) Begin() Stepper { return &crossStepper{plan: p} }
 
-// Devices implements DeviceLister.
+// Devices implements Plan.
 func (p CrossPlan) Devices() []archsim.Arch {
 	return []archsim.Arch{p.Host, p.Coprocessor}
 }
@@ -250,7 +254,7 @@ func (p CrossTDBU) Begin() Stepper {
 	}}
 }
 
-// Devices implements DeviceLister.
+// Devices implements Plan.
 func (p CrossTDBU) Devices() []archsim.Arch {
 	return []archsim.Arch{p.Host, p.Coprocessor}
 }

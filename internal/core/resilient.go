@@ -135,34 +135,37 @@ func (tl timeline) fault(fr FaultRecord) {
 	})
 }
 
-// DeviceLister is implemented by plans that can enumerate every device
-// they may place steps on. The resilient executor uses it to find
-// survivors when a placed device has crashed; plans that do not
-// implement it can only replan onto devices already seen in earlier
-// placements.
-type DeviceLister interface {
-	Devices() []archsim.Arch
-}
-
 // SimulateResilient prices a plan against a traversal trace under a
 // fault schedule, degrading gracefully instead of assuming the
 // hardware behaves:
 //
 //   - a step placed on a crashed device is replanned onto a surviving
-//     device (CPUs preferred), paying the transfer to move the
-//     traversal state there;
+//     device from plan.Devices() (CPUs preferred), paying the transfer
+//     to move the traversal state there;
 //   - a transfer that the schedule drops is retried up to fault.MaxRetries
 //     times with capped exponential backoff, each failed attempt
 //     charging its wire time plus the wait; when retries are
 //     exhausted the migration is abandoned and the step runs where
 //     the state already is (one more replan) — unless that device is
 //     itself dead, which is fatal;
-//   - a slowed device prices its steps on the derated copy
-//     (archsim.Arch.Slowed).
+//   - a slowed device prices each of its steps on a derated copy
+//     (archsim.Arch.Slowed), derated once by the step's factor.
 //
-// With an empty schedule the result is identical to Simulate. When the
-// ladder runs out (no surviving device), the partial Timing is
-// returned together with a *fault.Error.
+// Because level sets are direction-independent, this replays any plan
+// without re-traversing the graph: each step charges the placed device
+// for its direction's work, plus a link transfer whenever the
+// placement moves between devices. The transfer ships the frontier
+// bitmap, the visited bitmap and the predecessor/level entries
+// discovered since the last time the target device held the traversal
+// — so a late (mistuned) handoff pays for everything discovered so
+// far, which is the mechanism behind the paper's 695x best-to-worst
+// spread for cross-architecture switching.
+//
+// With an empty schedule this is Simulate, and it can neither fail
+// nor cost more than the bare replay: it lists no devices and asks
+// the schedule nothing. When the ladder runs out (no surviving
+// device), the partial Timing is returned together with a
+// *fault.Error.
 //
 // opts.Recorder receives the priced timeline on the simulated clock
 // (SimStart/SimDur in modeled seconds): KindPlanStart; per step a
@@ -173,6 +176,7 @@ type DeviceLister interface {
 // run's. SimulateShardedResilient shares its bracket (timeline).
 func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts ResilientOptions) (*Timing, error) {
 	sched := opts.Schedule
+	faulty := !sched.Empty()
 	sched.Reset()
 	stepper := plan.Begin()
 	t := &Timing{
@@ -183,18 +187,6 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 	tl := openTimeline(opts.Recorder, opts.TraversalID, tr.Source, t)
 	defer tl.end()
 
-	var devices []archsim.Arch
-	if dl, ok := plan.(DeviceLister); ok {
-		devices = dl.Devices()
-	}
-	noteDevice := func(a archsim.Arch) {
-		for _, d := range devices {
-			if d.Name == a.Name {
-				return
-			}
-		}
-		devices = append(devices, a)
-	}
 	alive := func(a archsim.Arch, step int) bool {
 		_, crashed := sched.CrashedBy(a.Name, a.Kind.String(), step)
 		return !crashed
@@ -205,7 +197,7 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 	survivor := func(step int) (archsim.Arch, bool) {
 		var first archsim.Arch
 		found := false
-		for _, d := range devices {
+		for _, d := range plan.Devices() {
 			if !alive(d, step) {
 				continue
 			}
@@ -218,15 +210,21 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 		}
 		return first, found
 	}
+	// Each crashed or slowed device is recorded once.
+	var crashSeen, slowSeen map[string]bool
+	if faulty {
+		crashSeen, slowSeen = make(map[string]bool), make(map[string]bool)
+	}
 
-	crashSeen := make(map[string]bool)
-	slowSeen := make(map[string]bool)
+	// prevName names the device holding the traversal state; prev is
+	// that device as placed, kept for an abandoned migration's fallback.
+	prevName := ""
 	var prev archsim.Arch
-	havePrev := false
 	discoveredSinceSwitch := int64(1) // the source itself
 	bitmapBytes := (tr.NumVertices + 7) / 8
 
-	for _, s := range tr.Steps {
+	for i := range tr.Steps {
+		s := &tr.Steps[i]
 		info := bfs.StepInfo{
 			Step:              s.Step,
 			FrontierVertices:  s.FrontierVertices,
@@ -235,48 +233,46 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 			TotalVertices:     tr.NumVertices,
 			TotalEdges:        tr.NumEdges,
 		}
+		// Replans overwrite pl.Arch: copies of a 200-byte Arch are costly.
 		pl := stepper.Place(info)
-		arch, dir := pl.Arch, pl.Dir
-		noteDevice(arch)
-
-		if _, crashed := sched.CrashedBy(arch.Name, arch.Kind.String(), s.Step); crashed {
+		if faulty && !alive(pl.Arch, s.Step) {
 			surv, ok := survivor(s.Step)
 			if !ok {
 				tl.fault(FaultRecord{
-					Step: s.Step, Kind: fault.DeviceCrash, Device: arch.Name,
+					Step: s.Step, Kind: fault.DeviceCrash, Device: pl.Arch.Name,
 					Action: "fatal", Detail: "no surviving device",
 				})
 				return t, &fault.Error{
-					Kind: fault.DeviceCrash, Device: arch.Name, Step: s.Step,
+					Kind: fault.DeviceCrash, Device: pl.Arch.Name, Step: s.Step,
 					Reason: "no surviving device to replan onto",
 				}
 			}
-			if !crashSeen[arch.Name] {
-				crashSeen[arch.Name] = true
+			if !crashSeen[pl.Arch.Name] {
+				crashSeen[pl.Arch.Name] = true
 				t.Replans++
 				tl.fault(FaultRecord{
-					Step: s.Step, Kind: fault.DeviceCrash, Device: arch.Name,
+					Step: s.Step, Kind: fault.DeviceCrash, Device: pl.Arch.Name,
 					Action: "replan", Detail: "steps moved to " + surv.Name,
 				})
 			}
-			arch = surv
+			pl.Arch = surv
 		}
 
-		st := StepTiming{Step: s.Step, ArchName: arch.Name, Kind: arch.Kind, Dir: dir}
+		st := StepTiming{Step: s.Step, ArchName: pl.Arch.Name, Kind: pl.Arch.Kind, Dir: pl.Dir}
 		var movedBytes int64
 		migrateFrom := ""
-		if havePrev && prev.Name != arch.Name {
+		if prevName != "" && prevName != pl.Arch.Name {
 			// Migration: ship the bitmaps and the entries discovered
-			// since the target last held the traversal (as in Simulate),
-			// retrying dropped transfers with capped exponential backoff.
+			// since the target last held the traversal, retrying
+			// dropped transfers with capped exponential backoff.
 			movedBytes = 2*bitmapBytes + 8*discoveredSinceSwitch
-			migrateFrom = prev.Name
+			migrateFrom = prevName
 			base := link.TransferTime(movedBytes)
 			wasted := 0.0
 			backoff := fault.RetryBackoff.Seconds()
 			retries := 0
 			migrated := true
-			for sched.LinkDrops() {
+			for faulty && sched.LinkDrops() {
 				if retries == fault.MaxRetries {
 					migrated = false
 					wasted += base // the final failed attempt
@@ -291,7 +287,7 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 			case migrated:
 				if retries > 0 {
 					tl.fault(FaultRecord{
-						Step: s.Step, Kind: fault.LinkTransient, Device: arch.Name,
+						Step: s.Step, Kind: fault.LinkTransient, Device: pl.Arch.Name,
 						Action: "retry", Detail: fmt.Sprintf("transfer succeeded after %d retries", retries),
 					})
 				}
@@ -302,37 +298,41 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 				// step where the traversal state already is.
 				t.Replans++
 				tl.fault(FaultRecord{
-					Step: s.Step, Kind: fault.LinkTransient, Device: arch.Name,
+					Step: s.Step, Kind: fault.LinkTransient, Device: pl.Arch.Name,
 					Action: "replan", Detail: fmt.Sprintf("transfer retries exhausted; staying on %s", prev.Name),
 				})
-				arch = prev
-				st.ArchName, st.Kind = arch.Name, arch.Kind
+				pl.Arch = prev
+				st.ArchName, st.Kind = prev.Name, prev.Kind
 				st.Transfer = wasted
 			default:
 				// Migrating off a dead device over a dead link: the
 				// traversal state is unreachable.
 				tl.fault(FaultRecord{
-					Step: s.Step, Kind: fault.LinkTransient, Device: arch.Name,
+					Step: s.Step, Kind: fault.LinkTransient, Device: pl.Arch.Name,
 					Action: "fatal", Detail: "transfer retries exhausted and source device is down",
 				})
 				return t, &fault.Error{
-					Kind: fault.LinkTransient, Device: arch.Name, Step: s.Step,
+					Kind: fault.LinkTransient, Device: pl.Arch.Name, Step: s.Step,
 					Reason: fmt.Sprintf("transfer failed after %d retries with no surviving source", retries),
 				}
 			}
 		}
 
-		if f := sched.SlowdownAt(arch.Name, arch.Kind.String(), s.Step); f > 1 {
-			if !slowSeen[arch.Name] {
-				slowSeen[arch.Name] = true
-				tl.fault(FaultRecord{
-					Step: s.Step, Kind: fault.KernelSlowdown, Device: arch.Name,
-					Action: "slowdown", Detail: fmt.Sprintf("rates derated x%g", f),
-				})
+		// A slowed step is priced again on a derated copy; pl.Arch, and
+		// so prev, stay the device as placed.
+		st.Kernel = pl.Arch.StepTime(pl.Dir, *s)
+		if faulty {
+			if f := sched.SlowdownAt(pl.Arch.Name, pl.Arch.Kind.String(), s.Step); f > 1 {
+				if !slowSeen[pl.Arch.Name] {
+					slowSeen[pl.Arch.Name] = true
+					tl.fault(FaultRecord{
+						Step: s.Step, Kind: fault.KernelSlowdown, Device: pl.Arch.Name,
+						Action: "slowdown", Detail: fmt.Sprintf("rates derated x%g", f),
+					})
+				}
+				st.Kernel = pl.Arch.Slowed(f).StepTime(pl.Dir, *s)
 			}
-			arch = arch.Slowed(f)
 		}
-		st.Kernel = arch.StepTime(dir, s)
 
 		if tl.rec != nil {
 			// Transfer-then-kernel: the state must arrive before the
@@ -342,15 +342,15 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 			if st.Transfer > 0 {
 				tl.rec.Event(obs.Event{
 					Kind: obs.KindHandoff, TraversalID: tl.id, Root: tr.Source,
-					Engine: plan.Name(), Step: int32(s.Step), Dir: obs.DirNone,
+					Engine: t.Plan, Step: int32(s.Step), Dir: obs.DirNone,
 					From: migrateFrom, Device: st.ArchName, Bytes: movedBytes,
 					SimStart: t.Total, SimDur: st.Transfer,
 				})
 			}
 			tl.rec.Event(obs.Event{
 				Kind: obs.KindSimStep, TraversalID: tl.id, Root: tr.Source,
-				Engine: plan.Name(), Step: int32(s.Step),
-				Dir:              obs.Direction(dir),
+				Engine: t.Plan, Step: int32(s.Step),
+				Dir:              obs.Direction(pl.Dir),
 				Device:           st.ArchName,
 				FrontierVertices: s.FrontierVertices,
 				FrontierEdges:    s.FrontierEdges,
@@ -362,7 +362,10 @@ func SimulateResilient(tr *bfs.Trace, plan Plan, link archsim.Link, opts Resilie
 			})
 		}
 
-		prev, havePrev = arch, true
+		if faulty {
+			prev = pl.Arch
+		}
+		prevName = pl.Arch.Name
 		discoveredSinceSwitch += s.Discovered
 		t.Steps = append(t.Steps, st)
 		t.Total += st.Kernel + st.Transfer

@@ -30,9 +30,10 @@ func mustSchedule(t *testing.T, spec string, seed uint64) *fault.Schedule {
 	return s
 }
 
-// TestSimulateResilientNoFaultParity pins the zero-cost property: with
-// no schedule, the resilient path is bit-identical to Simulate for
-// every plan shape, and its recorder sees the clean priced timeline.
+// TestSimulateResilientNoFaultParity pins the clean run: with no
+// schedule, the resilient path reports no degradation for any plan
+// shape, and its recorder sees the clean priced timeline.
+// TestPricingGolden pins the priced numbers themselves.
 func TestSimulateResilientNoFaultParity(t *testing.T) {
 	tr := testTrace(t, 10, 8, 7)
 	link := archsim.PCIe()
@@ -45,7 +46,6 @@ func TestSimulateResilientNoFaultParity(t *testing.T) {
 	}
 	handoffs := 0
 	for _, p := range plans {
-		want := Simulate(tr, p, link)
 		rec := &captureRecorder{}
 		got, err := SimulateResilient(tr, p, link, ResilientOptions{Recorder: rec})
 		if err != nil {
@@ -54,11 +54,7 @@ func TestSimulateResilientNoFaultParity(t *testing.T) {
 		if got.Degraded() {
 			t.Fatalf("%s: clean run reported degradation: %+v", p.Name(), got.Faults)
 		}
-		got.Retries, got.Replans, got.Faults = 0, 0, nil
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: resilient timing diverges from Simulate:\nwant %+v\ngot  %+v", p.Name(), want, got)
-		}
-		handoffs += checkCleanTimeline(t, p.Name(), rec.events, want)
+		handoffs += checkCleanTimeline(t, p.Name(), rec.events, got)
 	}
 	if handoffs == 0 {
 		t.Fatal("no plan migrated between devices; the handoff events went untested")
@@ -274,6 +270,37 @@ func TestResilientSlowdownPricesHigher(t *testing.T) {
 	}
 }
 
+// TestResilientSlowdownDeratesOnce checks that a slowdown derates each
+// step once, also a step whose migration was abandoned and that falls
+// back to the device already holding the traversal: over a dead link
+// every step stays on the slowed CPU and costs exactly its derated
+// StepTime.
+func TestResilientSlowdownDeratesOnce(t *testing.T) {
+	tr := testTrace(t, 10, 8, 7)
+	slowCPU := archsim.SandyBridge().Slowed(4)
+	for _, plan := range []Plan{
+		defaultCross(),
+		TwoArchPlan{TDArch: archsim.SandyBridge(), BUArch: archsim.KeplerK20x(), M: 64, N: 64},
+	} {
+		timing, err := SimulateResilient(tr, plan, archsim.PCIe(),
+			ResilientOptions{Schedule: mustSchedule(t, "slow:CPUx4;transient:1", 1)})
+		if err != nil {
+			t.Fatalf("%s: %v", plan.Name(), err)
+		}
+		if timing.Replans == 0 {
+			t.Fatalf("%s: no migration was abandoned; the fallback went untested", plan.Name())
+		}
+		for i, st := range timing.Steps {
+			if st.ArchName != slowCPU.Name {
+				t.Fatalf("%s step %d ran on %s across a dead link", plan.Name(), st.Step, st.ArchName)
+			}
+			if want := slowCPU.StepTime(st.Dir, tr.Steps[i]); st.Kernel != want {
+				t.Errorf("%s step %d (%s): kernel %g, want %g (derated once)", plan.Name(), st.Step, st.Dir, st.Kernel, want)
+			}
+		}
+	}
+}
+
 // TestExecuteResilientCancellation checks the context path: a
 // cancelled execution returns ctx.Err() verbatim.
 func TestExecuteResilientCancellation(t *testing.T) {
@@ -286,11 +313,11 @@ func TestExecuteResilientCancellation(t *testing.T) {
 	}
 }
 
-// TestDeviceListers pins the replan candidate sets.
+// TestDeviceListers pins the replan candidate sets (Plan.Devices).
 func TestDeviceListers(t *testing.T) {
-	cpu, gpu, mic := archsim.SandyBridge(), archsim.KeplerK20x(), archsim.KnightsCorner()
+	cpu, gpu := archsim.SandyBridge(), archsim.KeplerK20x()
 	cases := []struct {
-		plan DeviceLister
+		plan Plan
 		name string
 		want []string
 	}{
@@ -300,7 +327,6 @@ func TestDeviceListers(t *testing.T) {
 		{TwoArchPlan{TDArch: cpu, BUArch: cpu, M: 64, N: 64}, "two-arch-same", []string{cpu.Name}},
 		{defaultCross(), "cross", []string{cpu.Name, gpu.Name}},
 		{CrossTDBU{Host: cpu, Coprocessor: gpu, M1: 64, N1: 64}, "cross-tdbu", []string{cpu.Name, gpu.Name}},
-		{MultiCross{Host: cpu, Coprocessors: []archsim.Arch{mic, mic}, M1: 64, N1: 64, M2: 64, N2: 64}, "multi", []string{cpu.Name, mic.Name, mic.Name}},
 	}
 	for _, c := range cases {
 		devs := c.plan.Devices()

@@ -52,54 +52,9 @@ func (t *Timing) TEPS() float64 {
 // GTEPS returns TEPS in billions (the unit of the paper's Table VI).
 func (t *Timing) GTEPS() float64 { return t.TEPS() / 1e9 }
 
-// Simulate prices a plan against a traversal trace. Because level
-// sets are direction-independent, this replays any plan without
-// re-traversing the graph: each step charges the placed device for its
-// direction's work, plus a link transfer whenever the placement moves
-// between devices.
-//
-// The transfer ships the frontier bitmap, the visited bitmap and the
-// predecessor/level entries discovered since the last time the target
-// device held the traversal — so a late (mistuned) handoff pays for
-// everything discovered so far, which is the mechanism behind the
-// paper's 695x best-to-worst spread for cross-architecture switching.
+// Simulate prices a plan against a traversal trace on clean hardware:
+// SimulateResilient with an empty fault schedule, which cannot fail.
 func Simulate(tr *bfs.Trace, plan Plan, link archsim.Link) *Timing {
-	stepper := plan.Begin()
-	t := &Timing{
-		Plan:         plan.Name(),
-		Steps:        make([]StepTiming, 0, len(tr.Steps)),
-		EdgesVisited: tr.EdgesVisited,
-	}
-	prevArch := ""
-	discoveredSinceSwitch := int64(1) // the source itself
-	bitmapBytes := (tr.NumVertices + 7) / 8
-
-	for _, s := range tr.Steps {
-		pl := stepper.Place(bfs.StepInfo{
-			Step:              s.Step,
-			FrontierVertices:  s.FrontierVertices,
-			FrontierEdges:     s.FrontierEdges,
-			UnvisitedVertices: s.UnvisitedVertices,
-			TotalVertices:     tr.NumVertices,
-			TotalEdges:        tr.NumEdges,
-		})
-		st := StepTiming{
-			Step:     s.Step,
-			ArchName: pl.Arch.Name,
-			Kind:     pl.Arch.Kind,
-			Dir:      pl.Dir,
-			Kernel:   pl.Arch.StepTime(pl.Dir, s),
-		}
-		if prevArch != "" && prevArch != pl.Arch.Name {
-			st.Transfer = link.TransferTime(2*bitmapBytes + 8*discoveredSinceSwitch)
-			discoveredSinceSwitch = 0
-		}
-		prevArch = pl.Arch.Name
-		discoveredSinceSwitch += s.Discovered
-
-		t.Steps = append(t.Steps, st)
-		t.Total += st.Kernel + st.Transfer
-		t.Transfers += st.Transfer
-	}
+	t, _ := SimulateResilient(tr, plan, link, ResilientOptions{})
 	return t
 }
